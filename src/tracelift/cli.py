@@ -58,9 +58,18 @@ def load_matrix(path, hermitian: bool = True) -> np.ndarray:
         raise IoError(f"cannot read matrix file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise IoError(f"cannot parse matrix file {path}: {exc}")
-    re = np.asarray(doc["re"], dtype=float)
-    im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
-    M = re + 1j * im
+    if not isinstance(doc, dict) or "re" not in doc:
+        raise IoError(f'matrix file {path}: expected a JSON object with an "re" array')
+    try:
+        real = np.asarray(doc["re"], dtype=float)
+        imag = np.asarray(doc.get("im", np.zeros_like(real)), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise IoError(f"matrix file {path}: {exc}")
+    if real.ndim != 2 or imag.shape != real.shape or (hermitian and real.shape[0] != real.shape[1]):
+        shape = "square " if hermitian else ""
+        raise IoError(f"matrix file {path}: re {real.shape} and im {imag.shape} "
+                      f"must be {shape}matrices of one shape")
+    M = real + 1j * imag
     return hermitize(M) if hermitian else M
 
 

@@ -314,37 +314,33 @@ class LmiConstraint:
             [[blk.evaluate(assignment) for blk in row] for row in self.grid]
         )
 
-    def const_matrix(self) -> np.ndarray:
-        rows = []
-        for row in self.grid:
-            rows.append(
-                [
-                    sum(
-                        (t.matrix for t in blk.terms if isinstance(t, ConstTerm)),
-                        np.zeros((self.dim, self.dim), dtype=complex),
-                    )
-                    for blk in row
-                ]
-            )
-        return np.block(rows)
+    def slices(self, offsets) -> tuple:
+        """This LMI's constant part and coefficient slices.
 
-    def coeff_matrix(self, var: VarId, k: int) -> np.ndarray:
-        rows = []
-        for row in self.grid:
-            rows.append(
-                [
-                    sum(
-                        (
-                            t.apply_coord(k)
-                            for t in blk.terms
-                            if t.var is not None and t.var == var
-                        ),
-                        np.zeros((self.dim, self.dim), dtype=complex),
-                    )
-                    for blk in row
-                ]
-            )
-        return np.block(rows)
+        ``offsets`` maps each variable to its first real coordinate, as
+        ``SdpModel.coord_offsets`` gives it.  Returns ``(G0, idx, A)``: the
+        constant part, the coordinates of this LMI's variables in ascending
+        order, and the stack with ``A[p]`` the coefficient matrix of
+        coordinate ``idx[p]``.  Each grid slot sums its terms in order,
+        starting from zero.
+        """
+        pos, idx = {}, []
+        for v in sorted(self.vars(), key=offsets.__getitem__):
+            pos[v] = len(idx)
+            idx.extend(range(offsets[v], offsets[v] + len(var_basis(v))))
+        d = self.dim
+        G0 = np.zeros((self.size, self.size), dtype=complex)
+        A = np.zeros((len(idx), self.size, self.size), dtype=complex)
+        for r, row in enumerate(self.grid):
+            for c, blk in enumerate(row):
+                slot = (slice(r * d, (r + 1) * d), slice(c * d, (c + 1) * d))
+                for t in blk.terms:
+                    if t.var is None:
+                        G0[slot] += t.matrix
+                        continue
+                    for k in range(len(var_basis(t.var))):
+                        A[(pos[t.var] + k,) + slot] += t.apply_coord(k)
+        return G0, np.array(idx, dtype=int), A
 
 
 class LinearFunctional:
@@ -361,12 +357,14 @@ class LinearFunctional:
             val += np.trace(M @ X).real
         return val
 
-    def coeff(self, var: VarId, k: int) -> float:
-        c = 0.0
+    def coeffs(self, offsets, m: int) -> np.ndarray:
+        """Coefficients of all ``m`` real coordinates, with ``offsets`` as for
+        ``LmiConstraint.slices``."""
+        out = np.zeros(m)
         for v, M in self.terms:
-            if v == var:
-                c += np.trace(M @ var_basis(var)[k]).real
-        return c
+            for k, E in enumerate(var_basis(v)):
+                out[offsets[v] + k] += np.trace(M @ E).real
+        return out
 
     def vars(self) -> set:
         return {v for v, _ in self.terms}
@@ -438,6 +436,14 @@ class SdpModel:
     @property
     def frozen(self) -> bool:
         return self._frozen
+
+    def coord_offsets(self):
+        """First real coordinate of each variable, and the coordinate count."""
+        offsets, m = {}, 0
+        for v in self.vars:
+            offsets[v] = m
+            m += len(var_basis(v))
+        return offsets, m
 
     def lmi_census(self):
         """Sorted list of (size, count) pairs over all LMIs."""

@@ -26,77 +26,68 @@ from .model import (
     SdpModel,
     VarId,
     VarTerm,
-    var_basis,
 )
 
 
-def _coords(model: SdpModel):
-    out = []
-    for v in model.vars:
-        out.extend((v, k) for k in range(len(var_basis(v))))
-    return out
-
-
 def _real_or_raise(M, where: str) -> np.ndarray:
-    M = np.asarray(M)
-    if np.iscomplexobj(M) and np.abs(M.imag).max(initial=0.0) != 0.0:
+    if np.iscomplexobj(M) and M.imag.any():
         raise ComplexDataError(f"complex entries in {where}; realify the model first")
-    return np.ascontiguousarray(M.real, dtype=float)
+    return M.real
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _entries(matnos, blk, vals, rows, cols):
+    """(matno, blk, i, j, val) columns of the nonzeros of ``vals``, whose row
+    p belongs to matrix ``matnos[p]`` and whose column q to entry
+    (rows[q], cols[q]), in row-major order."""
+    p, q = np.nonzero(vals)
+    return matnos[p], np.full(len(p), blk), rows[q] + 1, cols[q] + 1, vals[p, q]
+
+
 def export_sdpa(model: SdpModel, path) -> None:
-    """Write a realified model in SDPA sparse format."""
+    """Write a realified model in SDPA sparse format.
+
+    The file carries no objective constant term, as SDPA has none: its
+    objective is the model's minus ``objective.functional.constant``,
+    negated for a maximising model.  For a tsallis entropy model the two
+    differ by tr A / t.
+    """
     if not model.realified:
         raise NotRealified("export requires a realified model")
     obj = model.require_objective()
-    coords = _coords(model)
-    m = len(coords)
+    offsets, m = model.coord_offsets()
 
     flip = -1.0 if obj.sense == "minimize" else 1.0
     # SDPA minimizes c'x; our canonical form maximizes b'y
-    c = [-flip * obj.functional.coeff(v, k) + 0.0 for v, k in coords]
+    c = -flip * obj.functional.coeffs(offsets, m) + 0.0
 
     sizes = [lmi.size for lmi in model.lmis]
+    parts = []
+    for bno, lmi in enumerate(model.lmis, start=1):
+        G0, idx, A = lmi.slices(offsets)
+        rows, cols = np.triu_indices(lmi.size)
+        F0 = _real_or_raise(-G0, f"matrix 0, block {bno}")
+        parts.append(_entries(np.zeros(1, dtype=int), bno, F0[None, rows, cols], rows, cols))
+        A = _real_or_raise(A, f"block {bno}")
+        parts.append(_entries(idx + 1, bno, A[:, rows, cols], rows, cols))
     if model.scalars:
         sizes.append(-len(model.scalars))
-
-    # entries[matno] = list of (blk, i, j, val), matno 0 is F0
-    entries: list = [[] for _ in range(m + 1)]
-
-    def put(matno, blk, M):
-        M = _real_or_raise(M, f"matrix {matno}, block {blk}")
-        for i in range(M.shape[0]):
-            for j in range(i, M.shape[1]):
-                if M[i, j] != 0.0:
-                    entries[matno].append((blk, i + 1, j + 1, M[i, j]))
-
-    for bno, lmi in enumerate(model.lmis, start=1):
-        put(0, bno, -lmi.const_matrix())
-        for ci, (v, k) in enumerate(coords, start=1):
-            if v in lmi.vars():
-                put(ci, bno, lmi.coeff_matrix(v, k))
-    if model.scalars:
-        bno = len(model.lmis) + 1
-        d = len(model.scalars)
-        F0 = np.zeros((d, d))
-        for j, sc in enumerate(model.scalars):
-            F0[j, j] = -sc.functional.constant
-        put(0, bno, F0)
-        for ci, (v, k) in enumerate(coords, start=1):
-            Fk = np.zeros((d, d))
-            for j, sc in enumerate(model.scalars):
-                Fk[j, j] = sc.functional.coeff(v, k)
-            put(ci, bno, Fk)
+        bno, diag = len(sizes), np.arange(len(model.scalars))
+        F0 = np.array([[-sc.functional.constant for sc in model.scalars]])
+        parts.append(_entries(np.zeros(1, dtype=int), bno, F0, diag, diag))
+        F = np.array([sc.functional.coeffs(offsets, m) for sc in model.scalars]).T
+        parts.append(_entries(np.arange(1, m + 1), bno, F, diag, diag))
+    # group by matrix number, keeping block order and row-major order within
+    ents = [np.concatenate(col) for col in zip(*parts)] if parts else [np.zeros(0)] * 5
+    order = np.argsort(ents[0], kind="stable")
 
     lines = [str(m), str(len(sizes)), " ".join(str(s) for s in sizes),
              " ".join(_fmt(x) for x in c)]
-    for matno, ents in enumerate(entries):
-        for blk, i, j, val in ents:
-            lines.append(f"{matno} {blk} {i} {j} {_fmt(val)}")
+    lines += [f"{matno} {blk} {i} {j} {val!r}"
+              for matno, blk, i, j, val in zip(*(col[order].tolist() for col in ents))]
     try:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")

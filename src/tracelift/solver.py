@@ -53,8 +53,9 @@ class SolveResult:
     - ``"numerical_failure"``: the iterates stalled -- X or (y, S) found
       no strictly interior step for several iterations in a row, or the
       dual slack lost definiteness.
-    - ``"infeasible"``: every attempt diverged (iterates blew up, or mu
-      vanished with residuals still above 1e-4).  This is inferred from
+    - ``"infeasible"``: every attempt diverged (iterates blew up, the
+      search direction became NaN, or mu vanished with residuals still
+      above 1e-4).  This is inferred from
       divergence, not backed by a certificate.
     """
 
@@ -86,51 +87,29 @@ class _Block:
 
 
 def _assemble(model: SdpModel):
-    """Flatten a realified model into (coords, b, sense_flip, blocks)."""
+    """Flatten a realified model into (b, blocks); each scalar is a 1x1 block."""
     obj = model.require_objective()
-    coords = []
-    offsets = {}
-    for v in model.vars:
-        offsets[v] = len(coords)
-        coords.extend((v, k) for k in range(len(var_basis(v))))
-    m = len(coords)
-
+    offsets, m = model.coord_offsets()
     flip = -1.0 if obj.sense == "minimize" else 1.0
-    b = np.zeros(m)
-    for j, (v, k) in enumerate(coords):
-        b[j] = flip * obj.functional.coeff(v, k)
+    b = flip * obj.functional.coeffs(offsets, m)
 
     blocks = []
 
-    def add_block(dim, G0, cols):
-        # cols: {coord index: (d, d) slice}; keep only nonzero slices
-        idx, mats = [], []
-        for j, M in cols.items():
-            if np.abs(M).max(initial=0.0) > 0.0:
-                idx.append(j)
-                mats.append(M)
-        if not idx:
-            idx, mats = [0], [np.zeros((dim, dim))]
-        blocks.append(_Block(dim, G0, idx, np.stack(mats)))
+    def add_block(G0, idx, A):
+        keep = A.any(axis=(1, 2))  # drop zero slices
+        if keep.any():
+            idx, A = idx[keep], A[keep]
+        else:
+            idx, A = [0], np.zeros((1,) + G0.shape)
+        blocks.append(_Block(G0.shape[0], G0, idx, A))
 
     for lmi in model.lmis:
-        d = lmi.size
-        G0 = np.ascontiguousarray(lmi.const_matrix().real)
-        cols = {}
-        for v in sorted(lmi.vars(), key=lambda u: u.index):
-            for k in range(len(var_basis(v))):
-                M = lmi.coeff_matrix(v, k)
-                cols[offsets[v] + k] = np.ascontiguousarray(M.real)
-        add_block(d, G0, cols)
+        G0, idx, A = lmi.slices(offsets)
+        add_block(np.ascontiguousarray(G0.real), idx, A.real)
     for sc in model.scalars:
         f = sc.functional
-        G0 = np.array([[f.constant]])
-        cols = {}
-        for v in sorted(f.vars(), key=lambda u: u.index):
-            for k in range(len(var_basis(v))):
-                cols[offsets[v] + k] = np.array([[f.coeff(v, k)]])
-        add_block(1, G0, cols)
-    return coords, b, flip, blocks
+        add_block(np.array([[f.constant]]), np.arange(m), f.coeffs(offsets, m)[:, None, None])
+    return b, blocks
 
 
 def _sym(M):
@@ -167,10 +146,14 @@ def _max_step(L, D, frac):
     cone boundary, -frac / lambda_min(L^-1 D L^-T), capped at 1.  The
     result is positive for any finite D, but in floating point X + alpha*D
     can still fail to factor when X is nearly singular; _interior_step
-    backtracks from there.
+    backtracks from there.  A D whose eigenvalues cannot be computed (a NaN
+    direction) raises _Diverged.
     """
-    Y = np.linalg.solve(L, np.linalg.solve(L, D).T)
-    lam = np.linalg.eigvalsh(_sym(Y)).min()
+    try:
+        Y = np.linalg.solve(L, np.linalg.solve(L, D).T)
+        lam = np.linalg.eigvalsh(_sym(Y)).min()
+    except np.linalg.LinAlgError:  # a NaN direction
+        raise _Diverged
     if lam >= -1e-300:
         return 1.0
     return min(1.0, -frac / lam)
@@ -271,10 +254,8 @@ def _solve_canonical(b, blocks, opts: SolveOptions, tau_mul: float, frac: float)
 
         # Schur complement M_kl = sum_b tr(A_k W A_l W)
         M = np.zeros((m, m))
-        WAW = []
         for blk, Wb in zip(blocks, W):
             T = Wb[None] @ blk.A @ Wb[None]
-            WAW.append(T)
             Mb = np.tensordot(blk.A, T, axes=([1, 2], [1, 2]))
             M[np.ix_(blk.idx, blk.idx)] += Mb
         M = _sym(M) + 1e-14 * np.eye(m)
@@ -332,19 +313,17 @@ def solve(model: SdpModel, options: SolveOptions | None = None) -> SolveResult:
     opts = options or SolveOptions()
     original_vars = model.vars
     work, var_map = realify(model, force_embed=False) if not model.realified else (model, None)
-    coords, b, flip, blocks = _assemble(work)
+    b, blocks = _assemble(work)
 
     # a short ladder of starting points and step fractions: the default
     # is fastest, the alternates rescue instances that stall near the
     # central path's end
     attempts = [(10.0, opts.step_frac), (1.0, 0.95), (100.0, 0.9)]
     best = None
-    diverged = 0
     for tau_mul, frac in attempts:
         try:
             out = _solve_canonical(b, blocks, opts, tau_mul, frac)
         except _Diverged:
-            diverged += 1
             continue
         if best is None or out[3] < best[3]:
             best = out

@@ -103,3 +103,30 @@ class TestMatrixIo:
 
         back = load_matrix(path)
         assert np.abs(back - M).max() < 1e-15
+
+
+class TestMalformedMatrixFile:
+    @pytest.mark.parametrize("doc", [
+        {"im": [[0.0, 0.0], [0.0, 0.0]]},
+        [[1.0, 0.0], [0.0, 1.0]],
+        {"re": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+        {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0]]},
+    ], ids=["missing-re", "not-an-object", "non-square", "mismatched-im"])
+    def test_exit_3_with_message(self, tmp_path, capsys, diag_files, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["eval", "--function", "fidelity", "--A", str(bad),
+                   "--B", diag_files[1]])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(bad) in err and "Traceback" not in err
+
+    def test_rectangular_k_accepted(self, tmp_path, diag_files):
+        # K need not be square or Hermitian
+        K = tmp_path / "K.json"
+        save_matrix(np.ones((2, 3)), K)
+        B = tmp_path / "B3.json"
+        save_matrix(np.eye(3), B)
+        rc = main(["eval", "--function", "lieb", "--t", "1/2", "--A", diag_files[0],
+                   "--B", str(B), "--K", str(K)])
+        assert rc == 0

@@ -7,8 +7,8 @@ from tracelift.errors import ComplexDataError, NotRealified, SdpaParseError
 from tracelift.geomean import GeoMeanTask, build_geomean
 from tracelift.instances import random_matrix, random_pd
 from tracelift.kernel import RationalExponent
-from tracelift.lieb import build_lieb
-from tracelift.model import realify
+from tracelift.lieb import build_kron_power, build_lieb
+from tracelift.model import AffineBlock, LinearFunctional, ModelBuilder, realify, var_basis
 from tracelift.sdpa import export_sdpa, import_sdpa
 from tracelift.solver import solve
 
@@ -113,3 +113,84 @@ class TestScalarBlocks:
         assert any(int(s) < 0 for s in sizes)
         back = import_sdpa(path)
         assert back.scalar_count == model.scalar_count
+
+
+def oracle_slices(lmi, offsets):
+    """Per-coordinate reference for LmiConstraint.slices: an np.block of the
+    summed constant terms, and one of the summed apply_coord(k) per
+    coordinate."""
+    zero = np.zeros((lmi.dim, lmi.dim), dtype=complex)
+    G0 = np.block([[sum((t.matrix for t in blk.terms if t.var is None), zero)
+                    for blk in row] for row in lmi.grid])
+    coords = [(v, k) for v in sorted(lmi.vars(), key=lambda u: offsets[u])
+              for k in range(len(var_basis(v)))]
+    A = [np.block([[sum((t.apply_coord(k) for t in blk.terms if t.var == v), zero)
+                    for blk in row] for row in lmi.grid]) for v, k in coords]
+    return G0, [offsets[v] + k for v, k in coords], A
+
+
+def oracle_coeffs(f, offsets, m):
+    """Per-coordinate reference for LinearFunctional.coeffs."""
+    out = np.zeros(m)
+    for v, j in offsets.items():
+        for k, E in enumerate(var_basis(v)):
+            out[j + k] = sum((np.trace(M @ E).real for u, M in f.terms if u == v), 0.0)
+    return out
+
+
+def complex_geomean(rng, tmp_path):
+    return realify(geo_model(rng, t="8/13", complex_=True))[0]
+
+
+def complex_geomean_unrealified(rng, tmp_path):
+    return geo_model(rng, t="-1/2", complex_=True)
+
+
+def lieb_scalar(rng, tmp_path):
+    K = random_matrix(2, 3, rng)
+    return realify(build_lieb(K, random_pd(2, rng), random_pd(3, rng),
+                              RationalExponent(1, 3)).model)[0]
+
+
+def kron_power(rng, tmp_path):
+    A, B = random_pd(2, rng), random_pd(2, rng)
+    return realify(build_kron_power(A, B, RationalExponent(1, 2),
+                                    RationalExponent(1, 3)).model)[0]
+
+
+def repeated_terms(rng, tmp_path):
+    # grid slots holding two constants and two terms of one variable
+    A, B = random_pd(2, rng), random_pd(2, rng)
+    b = ModelBuilder()
+    X = b.fresh_var("T", 2)
+    p = AffineBlock.constant(A) + AffineBlock.constant(B)
+    z = AffineBlock.of_var(X) + AffineBlock.of_var(X, coeff=0.5j, op="conj")
+    b.add_lmi2(p, z, AffineBlock.constant(A) - AffineBlock.of_var(X))
+    b.set_objective("maximize", LinearFunctional(0.0, [(X, np.eye(2))]))
+    return realify(b.freeze())[0]
+
+
+def imported_lieb(rng, tmp_path):
+    export_sdpa(lieb_scalar(rng, tmp_path), tmp_path / "m.dat-s")
+    return import_sdpa(tmp_path / "m.dat-s")
+
+
+class TestSlices:
+    @pytest.mark.parametrize("make", [
+        complex_geomean, complex_geomean_unrealified, lieb_scalar, kron_power, repeated_terms,
+        imported_lieb,
+    ])
+    def test_equal_to_per_coordinate_oracle(self, rng, tmp_path, make):
+        model = make(rng, tmp_path)
+        offsets, m = model.coord_offsets()
+        for lmi in model.lmis:
+            G0, idx, A = lmi.slices(offsets)
+            want_G0, want_idx, want_A = oracle_slices(lmi, offsets)
+            assert np.array_equal(G0, want_G0)
+            assert idx.tolist() == want_idx
+            assert np.array_equal(A, np.array(want_A).reshape(A.shape))
+        funcs = [sc.functional for sc in model.scalars] + [model.objective.functional]
+        for f in funcs:
+            assert np.array_equal(f.coeffs(offsets, m), oracle_coeffs(f, offsets, m))
+        if make in (lieb_scalar, imported_lieb):
+            assert model.scalars

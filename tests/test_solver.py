@@ -5,8 +5,10 @@ import pytest
 
 from tracelift.geomean import GeoMeanTask, build_geomean
 from tracelift.instances import random_matrix, random_pd
-from tracelift.kernel import RationalExponent, fidelity_value, geometric_mean, upsilon_value
-from tracelift.lieb import build_fidelity, build_upsilon
+from tracelift.kernel import (
+    RationalExponent, fidelity_value, geometric_mean, lieb_value, upsilon_value,
+)
+from tracelift.lieb import build_fidelity, build_lieb, build_upsilon
 from tracelift.model import AffineBlock, LinearFunctional, ModelBuilder
 from tracelift.solver import SolveOptions, solve
 
@@ -78,6 +80,21 @@ class TestInteriorIterates:
         assert res.ok, (res.status, res.iterations, res.duality_gap)
         want = upsilon_value(K, A, t.fraction)
         assert abs(res.objective / con.report_divisor - want) / (1 + abs(want)) <= 1e-6
+
+
+class TestDivergence:
+    def test_nan_direction_reaches_the_ladder(self):
+        # lieb t = 2/3 on the first draw of seed 0: an attempt meets a NaN
+        # search direction, whose ratio test cannot compute eigenvalues; the
+        # attempt must count as diverged so the others are tried
+        rng = np.random.default_rng(0)
+        K = random_matrix(2, 3, rng)
+        A, B = random_pd(2, rng), random_pd(3, rng)
+        t = RationalExponent.parse("2/3")
+        res = solve(build_lieb(K, A, B, t).model)
+        assert res.ok, (res.status, res.iterations, res.duality_gap)
+        want = lieb_value(K, A, B, t.fraction)
+        assert abs(res.objective - want) / (1 + abs(want)) <= 1e-6
 
 
 class TestDeterminism:
