@@ -147,9 +147,10 @@ def import_sdpa(path) -> SdpModel:
     except ValueError:
         raise SdpaParseError(f"bad objective entry in {ctext!r}", line_no=lno_c)
 
-    # F[matno][blk] dense; diagonal blocks stored dense too (small)
+    # F[matno, blk] dense, only for the pairs that have entries; diagonal
+    # blocks are stored dense too (small)
     dims = [abs(s) for s in sizes]
-    F = [[np.zeros((d, d)) for d in dims] for _ in range(m + 1)]
+    F = {}
     for lno, text in rows[4:]:
         toks = text.split()
         if len(toks) != 5:
@@ -170,31 +171,36 @@ def import_sdpa(path) -> SdpModel:
             )
         if sizes[blk - 1] < 0 and i != j:
             raise SdpaParseError("off-diagonal entry in a diagonal block", line_no=lno)
-        F[matno][blk - 1][i - 1, j - 1] = val
-        F[matno][blk - 1][j - 1, i - 1] = val
+        Fb = F.get((matno, blk - 1))
+        if Fb is None:
+            Fb = F[matno, blk - 1] = np.zeros((d, d))
+        Fb[i - 1, j - 1] = val
+        Fb[j - 1, i - 1] = val
 
     xs = [VarId(k, 1, f"x{k + 1}", "real") for k in range(m)]
     lmis = []
     scalars = []
-    for bi, size in enumerate(sizes):
+    for bi, (size, d) in enumerate(zip(sizes, dims)):
+        F0 = F.get((0, bi), np.zeros((d, d)))
+        Fk = [(k, F[k + 1, bi]) for k in range(m) if (k + 1, bi) in F]
         if size > 0:
-            terms = [ConstTerm(-F[0][bi].astype(complex))]
-            for k in range(m):
-                if np.abs(F[k + 1][bi]).max(initial=0.0) != 0.0:
-                    terms.append(VarTerm(xs[k], 1.0, kl=F[k + 1][bi].astype(complex)))
+            terms = [ConstTerm(-F0.astype(complex))]
+            for k, Fb in Fk:
+                if np.abs(Fb).max(initial=0.0) != 0.0:
+                    terms.append(VarTerm(xs[k], 1.0, kl=Fb.astype(complex)))
             lmis.append(
                 LmiConstraint([[AffineBlock(size, terms)]], label=f"block {bi + 1}")
             )
         else:
             for j in range(-size):
                 fterms = []
-                for k in range(m):
-                    coef = F[k + 1][bi][j, j]
+                for k, Fb in Fk:
+                    coef = Fb[j, j]
                     if coef != 0.0:
                         fterms.append((xs[k], np.array([[coef]])))
                 scalars.append(
                     ScalarConstraint(
-                        LinearFunctional(-F[0][bi][j, j], fterms),
+                        LinearFunctional(-F0[j, j], fterms),
                         label=f"block {bi + 1} row {j + 1}",
                     )
                 )

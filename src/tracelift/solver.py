@@ -9,15 +9,23 @@ for every block b, with the matching primal
     minimize  sum_b tr(G0_b X_b)   s.t.  sum_b tr(A_bk X_b) = -b_k.
 
 The method is infeasible-start path following with Nesterov-Todd
-scaling and an optional Mehrotra predictor-corrector.  Complex models
-are realified first; solutions are mapped back to the original
-variables.  Everything is dense -- intended for the small block sizes
+scaling.  Each iteration takes an affine (predictor) direction, uses it
+to pick the centring weight, and then takes a re-centred (corrector)
+direction; the corrector has no second-order term.  Complex models are
+realified first; solutions are mapped back to the original variables.
+
+The coefficient slices A_k are kept sparse: every one is a single basis
+element in one grid slot, a handful of nonzeros in a block of a few
+dozen rows, so traces, linear combinations and the Schur complement
+are computed from those nonzeros.  The iterates X, S and the Schur
+complement M itself are dense -- intended for the small block sizes
 these constructions produce, not for large-scale work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +49,16 @@ class SolveOptions:
     max_sigma: float = 0.999
 
 
+class Attempt(NamedTuple):
+    """One rung of `solve`'s ladder: its start scale and step fraction, how
+    it ended (``"diverged"`` or its status) and the iterations it ran."""
+
+    tau_mul: float
+    frac: float
+    outcome: str
+    iterations: int
+
+
 @dataclass
 class SolveResult:
     """Outcome of `solve`; the numbers describe the attempt with the least gap.
@@ -57,6 +75,9 @@ class SolveResult:
       search direction became NaN, or mu vanished with residuals still
       above 1e-4).  This is inferred from
       divergence, not backed by a certificate.
+
+    ``iterations`` counts the chosen attempt only; ``attempts`` lists every
+    attempt of the ladder in order, so the cost of the failed ones shows.
     """
 
     status: str
@@ -67,23 +88,72 @@ class SolveResult:
     duality_gap: float
     primal_infeas: float
     dual_infeas: float
+    attempts: list[Attempt]
 
     @property
     def ok(self) -> bool:
         return self.status == "optimal"
 
 
+def _pack(F):
+    """The nonzeros of each row of F, left-aligned: (flat positions, values),
+    padded with position 0 and value 0 to the widest row."""
+    nz = F != 0
+    counts = nz.sum(axis=1)
+    k, p = np.nonzero(nz)  # grouped by row
+    slot = np.arange(len(k)) - np.repeat(np.cumsum(counts) - counts, counts)
+    pos = np.zeros((len(F), counts.max(initial=0)), dtype=int)
+    val = np.zeros(pos.shape)
+    pos[k, slot] = p
+    val[k, slot] = F[k, p]
+    return pos, val
+
+
 class _Block:
-    """One PSD block: constant part and stacked coefficient slices."""
+    """One PSD block: the constant G0 and the nonzeros of each coefficient slice.
 
-    def __init__(self, dim, G0, idx, A):
-        self.dim = dim
+    Slice k belongs to coordinate ``idx[k]``.  Its nonzeros sit at the
+    flat positions ``pos[k]`` of a d x d matrix (row ``rows[k]``, column
+    ``cols[k]``) with values ``val[k]``; ``upos[k]`` and ``uval[k]`` hold
+    its upper triangle, off-diagonal values doubled, so that
+    tr(A_k X) = sum(uval[k] * X.flat[upos[k]]) for symmetric X.  Rows are
+    padded with value 0 at position 0, and all-zero slices are dropped.
+    """
+
+    def __init__(self, G0, idx, A):
         self.G0 = G0  # (d, d)
-        self.idx = np.asarray(idx, dtype=int)  # (na,)
-        self.A = A  # (na, d, d)
+        self.dim = d = G0.shape[0]
+        flat = A.reshape(len(A), d * d)
+        keep = np.flatnonzero(flat.any(axis=1))
+        self.idx = np.asarray(idx, dtype=int)[keep]  # (na,)
+        flat = flat[keep]
+        self.pos, self.val = _pack(flat)  # (na, P)
+        self.rows, self.cols = np.divmod(self.pos, d)
+        i, j = np.divmod(np.arange(d * d), d)
+        self.upos, self.uval = _pack(flat * np.select([i < j, i == j], [2.0, 1.0]))
 
-    def s_of(self, y):
-        return self.G0 + np.tensordot(y[self.idx], self.A, axes=(0, 0))
+    def traces(self, X):
+        """tr(A_k X) for every slice k (X symmetric)."""
+        return (X.ravel()[self.upos] * self.uval).sum(axis=1)
+
+    def combine(self, w):
+        """sum_k w_k A_k as a dense matrix."""
+        d = self.dim
+        return np.bincount(self.pos.ravel(), (w[:, None] * self.val).ravel(), d * d).reshape(d, d)
+
+    def schur(self, W):
+        """tr(A_k W A_l W) for every pair of slices (W symmetric).
+
+        W A_l W is the sum of one rank-one term a W[:, i] W[j, :] per
+        nonzero a = (A_l)_ij, and it is read only at the upper-triangle
+        nonzeros of each A_k.
+        """
+        T = (W[self.rows] * self.val[:, :, None]).transpose(0, 2, 1) @ W[self.cols]
+        T = T.reshape(len(T), self.dim ** 2)  # row l: W A_l W, flattened
+        M = np.zeros((len(T), len(T)))
+        for q in range(self.upos.shape[1]):
+            M += np.take(T, self.upos[:, q], axis=1) * self.uval[:, q]
+        return M.T
 
 
 def _assemble(model: SdpModel):
@@ -94,21 +164,13 @@ def _assemble(model: SdpModel):
     b = flip * obj.functional.coeffs(offsets, m)
 
     blocks = []
-
-    def add_block(G0, idx, A):
-        keep = A.any(axis=(1, 2))  # drop zero slices
-        if keep.any():
-            idx, A = idx[keep], A[keep]
-        else:
-            idx, A = [0], np.zeros((1,) + G0.shape)
-        blocks.append(_Block(G0.shape[0], G0, idx, A))
-
     for lmi in model.lmis:
         G0, idx, A = lmi.slices(offsets)
-        add_block(np.ascontiguousarray(G0.real), idx, A.real)
+        blocks.append(_Block(np.ascontiguousarray(G0.real), idx, A.real))
     for sc in model.scalars:
         f = sc.functional
-        add_block(np.array([[f.constant]]), np.arange(m), f.coeffs(offsets, m)[:, None, None])
+        blocks.append(_Block(np.array([[f.constant]]), np.arange(m),
+                             f.coeffs(offsets, m)[:, None, None]))
     return b, blocks
 
 
@@ -116,42 +178,51 @@ def _sym(M):
     return (M + M.T) / 2
 
 
-def _psd_sqrt_pair(M):
-    w, Q = np.linalg.eigh(_sym(M))
-    w = np.maximum(w, 1e-300)
-    r = np.sqrt(w)
-    return (Q * r) @ Q.T, (Q / r) @ Q.T
+def _nt_scaling(X, S, Lx, Ls):
+    """W with W S W = X, for symmetric PD X = Lx Lx' and S = Ls Ls'.
 
-
-def _nt_scaling(X, S):
-    """W with W S W = X (both arguments symmetric PD)."""
-    Xh, _ = _psd_sqrt_pair(X)
-    M = _sym(Xh @ S @ Xh)
-    _, Mih = _psd_sqrt_pair(M)
+    W = X^1/2 (X^1/2 S X^1/2)^-1/2 X^1/2 from eigendecompositions.  When X
+    factors but eigh finds an eigenvalue <= 0 in it (X is singular to
+    rounding), X^1/2 is useless and W would blow up; W is then taken from
+    the Cholesky factors, W = G G' with G = Lx V diag(sv)^-1/2 and
+    Ls' Lx = U diag(sv) V', which needs no eigenvalue of X.
+    """
+    w, Q = np.linalg.eigh(_sym(X))
+    if w.min() <= 0:
+        _, sv, Vt = np.linalg.svd(Ls.T @ Lx)
+        G = Lx @ (Vt.T / np.sqrt(sv))
+        return _sym(G @ G.T)
+    Xh = (Q * np.sqrt(w)) @ Q.T
+    v, P = np.linalg.eigh(_sym(Xh @ S @ Xh))
+    Mih = (P / np.sqrt(np.maximum(v, 1e-300))) @ P.T
     return _sym(Xh @ Mih @ Xh)
 
 
 def _chol(mats):
-    """Cholesky factors of every matrix, or None if one is not numerically PD."""
+    """Cholesky factors (L, L^-1), X = L L', of every matrix, or None if one
+    is not numerically PD.  An accepted iterate keeps them: L^-1 for the
+    ratio tests of the next iteration, L for the NT scaling's fallback."""
     try:
-        return [np.linalg.cholesky(M) for M in mats]
+        L = [np.linalg.cholesky(M) for M in mats]
     except np.linalg.LinAlgError:
         return None
+    return [(Lb, np.linalg.inv(Lb)) for Lb in L]
 
 
-def _max_step(L, D, frac):
+def _max_step(Linv, D, frac):
     """Ratio-test step length along D from the PD point X = L L'.
 
-    Returns 1 if X + D stays PSD, otherwise frac times the distance to the
-    cone boundary, -frac / lambda_min(L^-1 D L^-T), capped at 1.  The
-    result is positive for any finite D, but in floating point X + alpha*D
-    can still fail to factor when X is nearly singular; _interior_step
-    backtracks from there.  A D whose eigenvalues cannot be computed (a NaN
-    direction) raises _Diverged.
+    Takes the cached inverse factor L^-1 of X, so the test costs two
+    matrix products and one eigvalsh.  Returns 1 if X + D stays PSD,
+    otherwise frac times the distance to the cone boundary,
+    -frac / lambda_min(L^-1 D L^-T), capped at 1.  The result is positive
+    for any finite D, but in floating point X + alpha*D can still fail to
+    factor when X is nearly singular; _interior_step backtracks from
+    there.  A D whose eigenvalues cannot be computed (a NaN direction)
+    raises _Diverged.
     """
     try:
-        Y = np.linalg.solve(L, np.linalg.solve(L, D).T)
-        lam = np.linalg.eigvalsh(_sym(Y)).min()
+        lam = np.linalg.eigvalsh(_sym(Linv @ D @ Linv.T)).min()
     except np.linalg.LinAlgError:  # a NaN direction
         raise _Diverged
     if lam >= -1e-300:
@@ -168,7 +239,7 @@ _STALL_ITERS = 2
 def _interior_step(X, D, alpha):
     """Take the step X + alpha*D, halving alpha until every block factors.
 
-    Returns (alpha, new blocks, their Cholesky factors), or None once alpha
+    Returns (alpha, new blocks, their _chol factors), or None once alpha
     has to drop below _MIN_STEP, so an accepted iterate is always strictly
     PD.  The ratio-test step itself is always tried, however short.
     """
@@ -183,17 +254,22 @@ def _interior_step(X, D, alpha):
 
 
 class _Diverged(Exception):
-    pass
+    """An attempt blew up; ``iterations`` is how many it ran."""
+
+    iterations = 0
 
 
 def _solve_canonical(b, blocks, opts: SolveOptions, tau_mul: float, frac: float):
-    """Run the path follower; returns (status, y, X, gap, pinf, dinf, iters)."""
+    """Run the path follower; returns (status, y, X, gap, pinf, dinf, iters).
+
+    Raises _Diverged, with the iterations run, when the iterates blow up.
+    """
     m = len(b)
     nu = sum(blk.dim for blk in blocks)
     scale = 1.0 + max(
         [np.abs(b).max(initial=0.0)]
         + [np.abs(blk.G0).max(initial=0.0) for blk in blocks]
-        + [np.abs(blk.A).max(initial=0.0) for blk in blocks]
+        + [np.abs(blk.val).max(initial=0.0) for blk in blocks]
     )
     # a generous interior start keeps early iterates away from the cone
     # boundary, which matters more here than a warm scale estimate
@@ -210,101 +286,107 @@ def _solve_canonical(b, blocks, opts: SolveOptions, tau_mul: float, frac: float)
         rp = -b.copy()
         ax = 0.0
         for blk, Xb in zip(blocks, X):
-            v = np.tensordot(blk.A, Xb, axes=([1, 2], [0, 1]))
+            v = blk.traces(Xb)
             rp[blk.idx] -= v
             ax = max(ax, np.linalg.norm(v))
-        Rd = [blk.s_of(y) - Sb for blk, Sb in zip(blocks, S)]
+        Rd = [blk.G0 + blk.combine(y[blk.idx]) - Sb for blk, Sb in zip(blocks, S)]
         return rp, Rd, ax
+
+    def ratio_test(F, D):  # the step along D that every block allows
+        return min(_max_step(Linv, Db, frac) for (_, Linv), Db in zip(F, D))
+
+    def direction(dy, Rc):
+        dS, dX = [], []
+        for blk, Wb, Rdb, Rcb in zip(blocks, W, Rd, Rc):
+            dSb = Rdb + blk.combine(dy[blk.idx])
+            dS.append(_sym(dSb))
+            dX.append(_sym(Rcb - Wb @ dSb @ Wb))
+        return dX, dS
 
     status = "iteration_limit"
     it = 0
     gap = pinf = dinf = np.inf
-    for it in range(1, opts.max_iters + 1):
-        rp, Rd, ax = residuals()
-        trxs = sum(np.tensordot(Xb, Sb) for Xb, Sb in zip(X, S))
-        mu = trxs / nu
-        pobj = sum(np.tensordot(blk.G0, Xb) for blk, Xb in zip(blocks, X))
-        dobj = b @ y
-        gap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
-        pinf = np.linalg.norm(rp) / max(bnorm, 1.0 + ax)
-        dinf = max(
-            np.linalg.norm(R) / (1 + max(np.linalg.norm(blk.G0), np.linalg.norm(Sb)))
-            for blk, R, Sb in zip(blocks, Rd, S)
-        )
-        if gap <= opts.gap_tol and pinf <= opts.feas_tol and dinf <= opts.feas_tol:
-            status = "optimal"
-            break
-        iterate_norm = max(
-            np.abs(y).max(initial=0.0),
-            max(np.abs(Xb).max() for Xb in X),
-            max(np.abs(Sb).max() for Sb in S),
-        )
-        if not np.isfinite(mu) or iterate_norm > 1e12 * scale:
-            raise _Diverged
-        if mu < 1e-16 * scale and (pinf > 1e-4 or dinf > 1e-4):
-            raise _Diverged
+    try:
+        for it in range(1, opts.max_iters + 1):
+            rp, Rd, ax = residuals()
+            trxs = sum(np.tensordot(Xb, Sb) for Xb, Sb in zip(X, S))
+            mu = trxs / nu
+            pobj = sum(np.tensordot(blk.G0, Xb) for blk, Xb in zip(blocks, X))
+            dobj = b @ y
+            gap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
+            pinf = np.linalg.norm(rp) / max(bnorm, 1.0 + ax)
+            dinf = max(
+                np.linalg.norm(R) / (1 + max(np.linalg.norm(blk.G0), np.linalg.norm(Sb)))
+                for blk, R, Sb in zip(blocks, Rd, S)
+            )
+            if gap <= opts.gap_tol and pinf <= opts.feas_tol and dinf <= opts.feas_tol:
+                status = "optimal"
+                break
+            iterate_norm = max(
+                np.abs(y).max(initial=0.0),
+                max(np.abs(Xb).max() for Xb in X),
+                max(np.abs(Sb).max() for Sb in S),
+            )
+            if not np.isfinite(mu) or iterate_norm > 1e12 * scale:
+                raise _Diverged
+            if mu < 1e-16 * scale and (pinf > 1e-4 or dinf > 1e-4):
+                raise _Diverged
 
-        W = [_nt_scaling(Xb, Sb) for Xb, Sb in zip(X, S)]
-        Sinv = []
-        for Sb in S:
-            w, Q = np.linalg.eigh(Sb)
-            if w.min() <= 0:
-                return "numerical_failure", y, X, gap, pinf, dinf, it
-            Sinv.append((Q / w) @ Q.T)
+            W = [_nt_scaling(Xb, Sb, Lx, Ls) for Xb, Sb, (Lx, _), (Ls, _) in zip(X, S, LX, LS)]
+            Sinv = []
+            for Sb in S:
+                w, Q = np.linalg.eigh(Sb)
+                if w.min() <= 0:
+                    return "numerical_failure", y, X, gap, pinf, dinf, it
+                Sinv.append(_sym((Q / w) @ Q.T))
 
-        # Schur complement M_kl = sum_b tr(A_k W A_l W)
-        M = np.zeros((m, m))
-        for blk, Wb in zip(blocks, W):
-            T = Wb[None] @ blk.A @ Wb[None]
-            Mb = np.tensordot(blk.A, T, axes=([1, 2], [1, 2]))
-            M[np.ix_(blk.idx, blk.idx)] += Mb
-        M = _sym(M) + 1e-14 * np.eye(m)
-
-        def direction(Rc):
-            rhs = -rp.copy()
-            for blk, Wb, Rdb, Rcb, Xb in zip(blocks, W, Rd, Rc, X):
-                V = Rcb - Wb @ Rdb @ Wb
-                rhs[blk.idx] += np.tensordot(blk.A, V, axes=([1, 2], [0, 1]))
+            # Schur complement M_kl = sum_b tr(A_k W A_l W).  A direction's
+            # right-hand side -rp + sum_b tr(A_k (Rc - W Rd W)) is affine in
+            # the centring term Rc, so one solve with two columns gives the
+            # affine part (Rc = -X) and the centring part (Rc = S^-1) of dy
+            M = np.zeros((m, m))
+            rhs = np.zeros((m, 2))
+            rhs[:, 0] = -rp
+            for blk, Wb, Rdb, Xb, Si in zip(blocks, W, Rd, X, Sinv):
+                M[np.ix_(blk.idx, blk.idx)] += blk.schur(Wb)
+                rhs[blk.idx, 0] += blk.traces(-Xb - Wb @ Rdb @ Wb)
+                rhs[blk.idx, 1] += blk.traces(Si)
+            M = _sym(M) + 1e-14 * np.eye(m)
             try:
-                dy = np.linalg.solve(M, rhs)
+                dy_aff, dy_cen = np.linalg.solve(M, rhs).T
             except np.linalg.LinAlgError:
                 raise _Diverged
-            dS, dX = [], []
-            for blk, Wb, Rdb, Rcb in zip(blocks, W, Rd, Rc):
-                dSb = Rdb + np.tensordot(dy[blk.idx], blk.A, axes=(0, 0))
-                dS.append(_sym(dSb))
-                dX.append(_sym(Rcb - Wb @ dSb @ Wb))
-            return dy, dX, dS
 
-        # predictor (affine direction)
-        Rc = [-Xb for Xb in X]
-        dy_a, dX_a, dS_a = direction(Rc)
-        ap = min(_max_step(Lb, D, frac) for Lb, D in zip(LX, dX_a))
-        ad = min(_max_step(Lb, D, frac) for Lb, D in zip(LS, dS_a))
-        if opts.mehrotra:
-            # use the affine decrease to pick the centering weight, then
-            # recenter (no second-order term; more robust on small blocks)
-            trxs_a = sum(
-                np.tensordot(Xb + ap * dXb, Sb + ad * dSb)
-                for Xb, dXb, Sb, dSb in zip(X, dX_a, S, dS_a)
-            )
-            sigma = np.clip((max(trxs_a, 0.0) / trxs) ** 3, opts.min_sigma, opts.max_sigma)
-        else:
-            sigma = 0.5 if min(ap, ad) < 0.5 else 0.05
-        Rc = [_sym(sigma * mu * Si - Xb) for Si, Xb in zip(Sinv, X)]
-        dy, dX, dS = direction(Rc)
-        primal = _interior_step(X, dX, min(_max_step(Lb, D, frac) for Lb, D in zip(LX, dX)))
-        dual = _interior_step(S, dS, min(_max_step(Lb, D, frac) for Lb, D in zip(LS, dS)))
-        # a side that cannot move stays put for this iteration: the other
-        # side's step changes the scaling, which often frees it again
-        stuck = stuck + 1 if primal is None or dual is None else 0
-        if (primal is None and dual is None) or stuck > _STALL_ITERS:
-            return "numerical_failure", y, X, gap, pinf, dinf, it
-        if primal is not None:
-            _, X, LX = primal
-        if dual is not None:
-            ad, S, LS = dual
-            y = y + ad * dy
+            # predictor (affine direction)
+            dX_a, dS_a = direction(dy_aff, [-Xb for Xb in X])
+            ap, ad = ratio_test(LX, dX_a), ratio_test(LS, dS_a)
+            if opts.mehrotra:
+                # use the affine decrease to pick the centering weight, then
+                # recenter (no second-order term; more robust on small blocks)
+                trxs_a = sum(
+                    np.tensordot(Xb + ap * dXb, Sb + ad * dSb)
+                    for Xb, dXb, Sb, dSb in zip(X, dX_a, S, dS_a)
+                )
+                sigma = np.clip((max(trxs_a, 0.0) / trxs) ** 3, opts.min_sigma, opts.max_sigma)
+            else:
+                sigma = 0.5 if min(ap, ad) < 0.5 else 0.05
+            dy = dy_aff + sigma * mu * dy_cen
+            dX, dS = direction(dy, [_sym(sigma * mu * Si - Xb) for Si, Xb in zip(Sinv, X)])
+            primal = _interior_step(X, dX, ratio_test(LX, dX))
+            dual = _interior_step(S, dS, ratio_test(LS, dS))
+            # a side that cannot move stays put for this iteration: the other
+            # side's step changes the scaling, which often frees it again
+            stuck = stuck + 1 if primal is None or dual is None else 0
+            if (primal is None and dual is None) or stuck > _STALL_ITERS:
+                return "numerical_failure", y, X, gap, pinf, dinf, it
+            if primal is not None:
+                _, X, LX = primal
+            if dual is not None:
+                ad, S, LS = dual
+                y = y + ad * dy
+    except _Diverged as exc:
+        exc.iterations = it
+        raise
     return status, y, X, gap, pinf, dinf, it
 
 
@@ -318,13 +400,16 @@ def solve(model: SdpModel, options: SolveOptions | None = None) -> SolveResult:
     # a short ladder of starting points and step fractions: the default
     # is fastest, the alternates rescue instances that stall near the
     # central path's end
-    attempts = [(10.0, opts.step_frac), (1.0, 0.95), (100.0, 0.9)]
+    ladder = [(10.0, opts.step_frac), (1.0, 0.95), (100.0, 0.9)]
+    attempts = []
     best = None
-    for tau_mul, frac in attempts:
+    for tau_mul, frac in ladder:
         try:
             out = _solve_canonical(b, blocks, opts, tau_mul, frac)
-        except _Diverged:
+        except _Diverged as exc:
+            attempts.append(Attempt(tau_mul, frac, "diverged", exc.iterations))
             continue
+        attempts.append(Attempt(tau_mul, frac, out[0], out[6]))
         if best is None or out[3] < best[3]:
             best = out
         if out[0] == "optimal":
@@ -334,7 +419,7 @@ def solve(model: SdpModel, options: SolveOptions | None = None) -> SolveResult:
             status="infeasible", objective=None,
             var_values=WitnessAssignment(), y=np.zeros(len(b)),
             iterations=0, duality_gap=np.inf, primal_infeas=np.inf,
-            dual_infeas=np.inf,
+            dual_infeas=np.inf, attempts=attempts,
         )
     status, y, X, gap, pinf, dinf, iters = best
 
@@ -370,4 +455,5 @@ def solve(model: SdpModel, options: SolveOptions | None = None) -> SolveResult:
     return SolveResult(
         status=status, objective=objective, var_values=values, y=y,
         iterations=iters, duality_gap=gap, primal_infeas=pinf, dual_infeas=dinf,
+        attempts=attempts,
     )

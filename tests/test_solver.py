@@ -8,9 +8,9 @@ from tracelift.instances import random_matrix, random_pd
 from tracelift.kernel import (
     RationalExponent, fidelity_value, geometric_mean, lieb_value, upsilon_value,
 )
-from tracelift.lieb import build_fidelity, build_lieb, build_upsilon
-from tracelift.model import AffineBlock, LinearFunctional, ModelBuilder
-from tracelift.solver import SolveOptions, solve
+from tracelift.lieb import build_fidelity, build_kron_power, build_lieb, build_upsilon
+from tracelift.model import AffineBlock, LinearFunctional, ModelBuilder, realify
+from tracelift.solver import SolveOptions, _assemble, _Block, _chol, _nt_scaling, solve
 
 
 def scalar_var(b):
@@ -61,6 +61,10 @@ class TestHandProblems:
         b.set_objective("maximize", LinearFunctional(0.0, [(x, np.eye(1))]))
         res = solve(b.freeze())
         assert not res.ok
+        # every rung of the ladder ran and diverged, and says how far it got
+        assert [(a.tau_mul, a.frac, a.outcome) for a in res.attempts] == [
+            (10.0, 0.98, "diverged"), (1.0, 0.95, "diverged"), (100.0, 0.9, "diverged")]
+        assert all(a.iterations > 0 for a in res.attempts)
 
 
 class TestInteriorIterates:
@@ -82,19 +86,66 @@ class TestInteriorIterates:
         assert abs(res.objective / con.report_divisor - want) / (1 + abs(want)) <= 1e-6
 
 
+def lieb_two_thirds():
+    # lieb t = 2/3 on the first draw of seed 0.  With two BLAS threads its
+    # primal iterate becomes singular to rounding: it still factors, but
+    # eigh finds an eigenvalue <= 0 in it, where the eigenvalue formula for
+    # the NT scaling W reaches ~1e141 and the Schur solve gives a NaN
+    # direction (TestNtScaling)
+    rng = np.random.default_rng(0)
+    K = random_matrix(2, 3, rng)
+    A, B = random_pd(2, rng), random_pd(3, rng)
+    t = RationalExponent.parse("2/3")
+    return build_lieb(K, A, B, t).model, lieb_value(K, A, B, t.fraction)
+
+
 class TestDivergence:
     def test_nan_direction_reaches_the_ladder(self):
-        # lieb t = 2/3 on the first draw of seed 0: an attempt meets a NaN
-        # search direction, whose ratio test cannot compute eigenvalues; the
-        # attempt must count as diverged so the others are tried
-        rng = np.random.default_rng(0)
-        K = random_matrix(2, 3, rng)
-        A, B = random_pd(2, rng), random_pd(3, rng)
-        t = RationalExponent.parse("2/3")
-        res = solve(build_lieb(K, A, B, t).model)
+        model, want = lieb_two_thirds()
+        res = solve(model)
         assert res.ok, (res.status, res.iterations, res.duality_gap)
-        want = lieb_value(K, A, B, t.fraction)
         assert abs(res.objective - want) / (1 + abs(want)) <= 1e-6
+
+    def test_attempts_log_the_ladder(self):
+        # exact counts depend on the BLAS thread count, so none is asserted
+        model, _ = lieb_two_thirds()
+        res = solve(model)
+        *before, last = res.attempts
+        assert all(a.outcome == "diverged" for a in before)
+        assert last.outcome == "optimal"
+        assert last.iterations == res.iterations
+
+
+class TestNtScaling:
+    def test_w_s_w_is_x(self, rng):
+        R = rng.standard_normal((2, 4, 4))
+        X, S = (Rb @ Rb.T + np.eye(4) for Rb in R)
+        (Lx, _), (Ls, _) = _chol([X, S])
+        W = _nt_scaling(X, S, Lx, Ls)
+        assert np.abs(W @ S @ W - X).max() <= 1e-12 * np.abs(X).max()
+
+    def test_singular_to_rounding(self):
+        # X factors, but eigh finds an eigenvalue <= 0 in it: W must come
+        # out bounded and still satisfy W S W = X.  X is only known to
+        # rounding in its near-null direction, and W S W carries that
+        # uncertainty amplified, hence the loose tolerance
+        found = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            X = (Q * [8.0, 3.0, 1.0, 1e-17]) @ Q.T
+            X = (X + X.T) / 2
+            F = _chol([X])
+            if F is None or np.linalg.eigvalsh(X).min() > 0:
+                continue
+            found += 1
+            R = rng.standard_normal((4, 4))
+            S = R @ R.T + np.eye(4)
+            (Lx, _), (Ls, _) = F[0], _chol([S])[0]
+            W = _nt_scaling(X, S, Lx, Ls)
+            assert np.abs(W).max() < 1e3
+            assert np.abs(W @ S @ W - X).max() <= 1e-6 * np.abs(X).max()
+        assert found
 
 
 class TestDeterminism:
@@ -133,3 +184,77 @@ class TestResultContents:
         res = solve(con.model, SolveOptions(max_iters=2))
         assert res.iterations <= 2
         assert not res.ok
+
+
+def dense_slices(model):
+    """The dense (G0, idx, A) stacks that _assemble packs, in its block
+    order: one per LMI, then a 1x1 block per scalar constraint."""
+    offsets, m = model.coord_offsets()
+    for lmi in model.lmis:
+        G0, idx, A = lmi.slices(offsets)
+        yield G0.real, idx, A.real
+    for sc in model.scalars:
+        f = sc.functional
+        yield np.array([[f.constant]]), np.arange(m), f.coeffs(offsets, m)[:, None, None]
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=1.0)
+
+
+def check_block(blk, idx, A, rng):
+    """The sparse kernels of blk against tensordot on the dense stack."""
+    keep = A.any(axis=(1, 2))
+    assert blk.idx.tolist() == np.asarray(idx)[keep].tolist()
+    A = A[keep]
+    d = blk.dim
+    R = rng.standard_normal((d, d))
+    X, W = R + R.T, R @ R.T + d * np.eye(d)
+    w = rng.standard_normal(len(A))
+    assert_close(blk.traces(X), np.tensordot(A, X, axes=([1, 2], [0, 1])))
+    assert_close(blk.combine(w), np.tensordot(w, A, axes=(0, 0)))
+    T = W[None] @ A @ W[None]
+    assert_close(blk.schur(W), np.tensordot(A, T, axes=([1, 2], [1, 2])))
+
+
+class TestSparseBlock:
+    @pytest.mark.parametrize("make", ["geomean", "kron_power", "lieb"])
+    def test_assembled_blocks_match_dense_oracle(self, rng, make):
+        if make == "geomean":
+            A, B = random_pd(2, rng, complex_=True), random_pd(2, rng, complex_=True)
+            model = build_geomean(GeoMeanTask(RationalExponent(8, 13), 2, A=A, B=B)).model
+        elif make == "kron_power":
+            A, B = random_pd(2, rng), random_pd(2, rng)
+            model = build_kron_power(A, B, RationalExponent(1, 2), RationalExponent(1, 3)).model
+        else:
+            K = random_matrix(2, 3, rng)
+            model = build_lieb(K, random_pd(2, rng), random_pd(3, rng), RationalExponent(1, 3)).model
+        model, _ = realify(model, force_embed=False)
+        _, blocks = _assemble(model)
+        stacks = list(dense_slices(model))
+        assert len(blocks) == len(stacks)
+        if make == "lieb":
+            assert any(blk.dim == 1 for blk in blocks)
+        for blk, (G0, idx, A) in zip(blocks, stacks):
+            assert np.array_equal(blk.G0, G0)
+            check_block(blk, idx, A, rng)
+
+    def test_padded_slices(self, rng):
+        # one, four and nine nonzeros, and an all-zero slice that is dropped
+        A = np.zeros((4, 3, 3))
+        A[0, 1, 1] = 2.0
+        A[1, 0, 2] = A[1, 2, 0] = -1.5
+        A[1, 1, 2] = A[1, 2, 1] = 0.25
+        R = rng.standard_normal((3, 3))
+        A[3] = R + R.T
+        blk = _Block(np.eye(3), np.array([5, 2, 7, 0]), A)
+        assert blk.idx.tolist() == [5, 2, 0]
+        assert (blk.val != 0).sum(axis=1).tolist() == [1, 4, 9]
+        check_block(blk, [5, 2, 7, 0], A, rng)
+
+    def test_all_zero_slices(self, rng):
+        blk = _Block(np.eye(3), np.array([0, 1]), np.zeros((2, 3, 3)))
+        assert len(blk.idx) == 0
+        check_block(blk, [0, 1], np.zeros((2, 3, 3)), rng)
+        assert np.array_equal(blk.combine(np.zeros(0)), np.zeros((3, 3)))
