@@ -49,9 +49,11 @@ class VarId:
 
 
 def phi(M) -> np.ndarray:
-    """Real symmetric embedding [[Re M, -Im M], [Im M, Re M]]."""
+    """Real symmetric embedding [[Re M, -Im M], [Im M, Re M]] of M, or of
+    each matrix of a stack M."""
     M = np.asarray(M, dtype=complex)
-    return np.block([[M.real, -M.imag], [M.imag, M.real]])
+    R, I = M.real, M.imag
+    return np.concatenate([np.concatenate([R, -I], -1), np.concatenate([I, R], -1)], -2)
 
 
 def _herm_basis(d: int) -> list:
@@ -89,18 +91,19 @@ def _sym_basis(d: int) -> list:
 _BASIS_CACHE: dict = {}
 
 
-def var_basis(var: VarId) -> list:
-    """Coordinate basis matrices of a variable (cached per dim/kind)."""
+def var_basis(var: VarId) -> np.ndarray:
+    """Coordinate basis matrices of a variable as one (k, dim, dim) stack
+    (cached per dim/kind)."""
     key = (var.dim, var.kind)
     if key not in _BASIS_CACHE:
         if var.kind == "complex":
-            _BASIS_CACHE[key] = _herm_basis(var.dim)
+            _BASIS_CACHE[key] = np.array(_herm_basis(var.dim))
         elif var.kind == "real":
-            _BASIS_CACHE[key] = _sym_basis(var.dim)
+            _BASIS_CACHE[key] = np.array(_sym_basis(var.dim))
         elif var.kind == "phi":
             if var.dim % 2:
                 raise DimensionMismatch("phi variables have even dimension")
-            _BASIS_CACHE[key] = [phi(E) for E in _herm_basis(var.dim // 2)]
+            _BASIS_CACHE[key] = phi(_herm_basis(var.dim // 2))
         else:
             raise TraceliftError(f"unknown variable kind {var.kind!r}")
     return _BASIS_CACHE[key]
@@ -180,6 +183,7 @@ class VarTerm:
         return d
 
     def _map(self, X: np.ndarray) -> np.ndarray:
+        """The term's image of X, or of each matrix of a stack X."""
         Y = np.conj(X) if self.op == "conj" else X
         if self.kl is not None:
             Y = np.kron(self.kl, Y)
@@ -190,8 +194,9 @@ class VarTerm:
     def evaluate(self, assignment) -> np.ndarray:
         return self._map(as_matrix(assignment[self.var], self.var.dim))
 
-    def apply_coord(self, k: int) -> np.ndarray:
-        return self._map(var_basis(self.var)[k])
+    def images(self) -> np.ndarray:
+        """The images of the variable's basis matrices, as (k, dim, dim)."""
+        return self._map(var_basis(self.var))
 
     def adjoint(self) -> "VarTerm":
         return VarTerm(
@@ -217,16 +222,18 @@ class RealifiedTerm:
     def dim(self) -> int:
         return 2 * self.inner.dim
 
-    def apply_coord(self, k: int) -> np.ndarray:
-        return phi(self.inner.apply_coord(k))
+    def images(self) -> np.ndarray:
+        """The images of the realified variable's basis matrices, as
+        (k, dim, dim)."""
+        return phi(self.inner.images())
 
     def evaluate(self, assignment) -> np.ndarray:
         Y = as_matrix(assignment[self.var], self.var.dim)
         c = var_coords(self.var, Y)
         out = np.zeros((self.dim, self.dim))
-        for k, ck in enumerate(c):
+        for ck, E in zip(c, self.images()):
             if ck != 0.0:
-                out += ck * self.apply_coord(k)
+                out += ck * E
         return out
 
     def adjoint(self) -> "RealifiedTerm":
@@ -321,8 +328,10 @@ class LmiConstraint:
         ``SdpModel.coord_offsets`` gives it.  Returns ``(G0, idx, A)``: the
         constant part, the coordinates of this LMI's variables in ascending
         order, and the stack with ``A[p]`` the coefficient matrix of
-        coordinate ``idx[p]``.  Each grid slot sums its terms in order,
-        starting from zero.
+        coordinate ``idx[p]``.  Each variable term adds its ``images``, one
+        per basis matrix of its variable, into its grid slot of the rows of
+        that variable's coordinates with one ``+=``; each grid slot sums
+        its terms in order, starting from zero.
         """
         pos, idx = {}, []
         for v in sorted(self.vars(), key=offsets.__getitem__):
@@ -338,8 +347,8 @@ class LmiConstraint:
                     if t.var is None:
                         G0[slot] += t.matrix
                         continue
-                    for k in range(len(var_basis(t.var))):
-                        A[(pos[t.var] + k,) + slot] += t.apply_coord(k)
+                    p = pos[t.var]
+                    A[(slice(p, p + len(var_basis(t.var))),) + slot] += t.images()
         return G0, np.array(idx, dtype=int), A
 
 

@@ -17,9 +17,11 @@ realified first; solutions are mapped back to the original variables.
 The coefficient slices A_k are kept sparse: every one is a single basis
 element in one grid slot, a handful of nonzeros in a block of a few
 dozen rows, so traces, linear combinations and the Schur complement
-are computed from those nonzeros.  The iterates X, S and the Schur
-complement M itself are dense -- intended for the small block sizes
-these constructions produce, not for large-scale work.
+are computed from those nonzeros.  Blocks of one shape are stacked and
+each numpy call covers a stack; sums over blocks still run in model
+order, so solves are bit-identical to block-by-block ones.  The iterates
+X, S and the Schur complement M itself are dense -- intended for the
+small block sizes these constructions produce, not for large-scale work.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ class SolveOptions:
     feas_tol: float = 1e-8
     max_iters: int = 200
     step_frac: float = 0.98
-    mehrotra: bool = True
     min_sigma: float = 1e-6
     max_sigma: float = 0.999
 
@@ -109,120 +110,196 @@ def _pack(F):
     return pos, val
 
 
-class _Block:
-    """One PSD block: the constant G0 and the nonzeros of each coefficient slice.
+class _Stack:
+    """The PSD blocks of one shape -- size d, na nonzero slices and the
+    widths _pack gives them (padding a slice further would change how
+    numpy sums it) -- as (nb, ...) arrays.
 
-    Slice k belongs to coordinate ``idx[k]``.  Its nonzeros sit at the
-    flat positions ``pos[k]`` of a d x d matrix (row ``rows[k]``, column
-    ``cols[k]``) with values ``val[k]``; ``upos[k]`` and ``uval[k]`` hold
-    its upper triangle, off-diagonal values doubled, so that
-    tr(A_k X) = sum(uval[k] * X.flat[upos[k]]) for symmetric X.  Rows are
-    padded with value 0 at position 0, and all-zero slices are dropped.
+    Block k is block ``order[k]`` of the model.  Its slice p belongs to
+    coordinate ``idx[k, p]`` and has the nonzeros ``val[k, p]`` at rows
+    ``rows[k, p]`` and columns ``cols[k, p]``; ``upos[k, p]`` (flat
+    positions in a d x d matrix) and ``uval[k, p]`` hold its upper
+    triangle, off-diagonal values doubled, so that
+    tr(A X) = sum(uval * X.flat[upos]) for symmetric X.
     """
 
-    def __init__(self, G0, idx, A):
-        self.G0 = G0  # (d, d)
-        self.dim = d = G0.shape[0]
-        flat = A.reshape(len(A), d * d)
-        keep = np.flatnonzero(flat.any(axis=1))
-        self.idx = np.asarray(idx, dtype=int)[keep]  # (na,)
-        flat = flat[keep]
-        self.pos, self.val = _pack(flat)  # (na, P)
-        self.rows, self.cols = np.divmod(self.pos, d)
-        i, j = np.divmod(np.arange(d * d), d)
-        self.upos, self.uval = _pack(flat * np.select([i < j, i == j], [2.0, 1.0]))
+    def __init__(self, blocks):  # (order, G0, idx, pos, val, upos, uval) per block
+        self.order, self.G0, self.idx, pos, self.val, self.upos, self.uval = map(np.array, zip(*blocks))
+        nb, self.dim = self.G0.shape[:2]
+        self.rows, self.cols = np.divmod(pos, self.dim)
+        self.G0_norms = _norms(self.G0)
+        base = (np.arange(nb) * self.dim ** 2)[:, None, None]  # flat positions in the stack
+        self._pos, self._upos = pos + base, self.upos + base
 
     def traces(self, X):
-        """tr(A_k X) for every slice k (X symmetric)."""
-        return (X.ravel()[self.upos] * self.uval).sum(axis=1)
+        """tr(A X_k) for every slice A of every block k (X symmetric)."""
+        return (X.ravel()[self._upos] * self.uval).sum(axis=-1)
 
     def combine(self, w):
-        """sum_k w_k A_k as a dense matrix."""
-        d = self.dim
-        return np.bincount(self.pos.ravel(), (w[:, None] * self.val).ravel(), d * d).reshape(d, d)
+        """sum_p w[k, p] A_p for every block k, as a stack."""
+        out = np.bincount(self._pos.ravel(), (w[..., None] * self.val).ravel(), self.G0.size)
+        return out.reshape(self.G0.shape)
 
-    def schur(self, W):
-        """tr(A_k W A_l W) for every pair of slices (W symmetric).
+    def schur(self, W, k):
+        """tr(A_p W A_q W) for every pair of slices of block k (W symmetric).
 
-        W A_l W is the sum of one rank-one term a W[:, i] W[j, :] per
-        nonzero a = (A_l)_ij, and it is read only at the upper-triangle
-        nonzeros of each A_k.
+        W A_q W is the sum of one rank-one term a W[:, i] W[j, :] per
+        nonzero a = (A_q)_ij, and it is read only at the upper-triangle
+        nonzeros of each A_p.  One block at a time, as a whole stack's
+        terms would hold na d^2 floats per block at once.
         """
-        T = (W[self.rows] * self.val[:, :, None]).transpose(0, 2, 1) @ W[self.cols]
-        T = T.reshape(len(T), self.dim ** 2)  # row l: W A_l W, flattened
+        T = (W[self.rows[k]] * self.val[k, :, :, None]).transpose(0, 2, 1) @ W[self.cols[k]]
+        T = T.reshape(len(T), self.dim ** 2)  # row q: W A_q W, flattened
         M = np.zeros((len(T), len(T)))
-        for q in range(self.upos.shape[1]):
-            M += np.take(T, self.upos[:, q], axis=1) * self.uval[:, q]
+        for q in range(self.upos.shape[2]):
+            M += np.take(T, self.upos[k, :, q], axis=1) * self.uval[k, :, q]
         return M.T
 
 
+class _Blocks:
+    """A realified model's PSD blocks, packed and stacked by shape.
+
+    Built from the dense (G0, idx, A) of each block in model order; each
+    is packed as it arrives, so a generator can let its dense A go before
+    it builds the next.  Every sum over blocks and every scatter into
+    coordinates runs in block order, as a block-by-block loop adds.
+    """
+
+    def __init__(self, dense):
+        shapes, n = {}, 0
+        for G0, idx, A in dense:
+            d = len(G0)
+            flat = A.real.reshape(len(A), d * d)
+            del A
+            keep = np.flatnonzero(flat.any(axis=1))
+            flat = flat[keep]
+            pos, val = _pack(flat)
+            i, j = np.divmod(np.arange(d * d), d)
+            upos, uval = _pack(flat * np.select([i < j, i == j], [2.0, 1.0]))
+            shapes.setdefault((d,) + pos.shape + upos.shape, []).append(
+                (n, G0.real, np.asarray(idx)[keep], pos, val, upos, uval))
+            n += 1
+        self.stacks = stacks = [_Stack(group) for group in shapes.values()]
+        self._perm = np.argsort(np.concatenate([s.order for s in stacks]))
+        self._rows = np.argsort(np.concatenate(
+            [np.repeat(s.order, s.idx.shape[1]) for s in stacks]), kind="stable")
+        self.coords = np.concatenate([s.idx.ravel() for s in stacks])[self._rows]
+        self._loop = [(i, k, np.ix_(stacks[i].idx[k], stacks[i].idx[k])) for _, i, k in sorted(
+            (o, i, k) for i, s in enumerate(stacks) for k, o in enumerate(s.order))]
+
+    def total(self, vals):
+        """The sum over blocks of per-stack values (nb,)."""
+        return np.cumsum(np.concatenate(vals)[self._perm])[-1]
+
+    def _in_order(self, vals):  # per-stack (nb, na, ...) values, rows as in coords
+        return np.concatenate([v.reshape(-1, *v.shape[2:]) for v in vals])[self._rows]
+
+    def residual(self, b, X):
+        """-b - sum_b tr(A_bk X_b), and the largest norm of a block's traces."""
+        v = [s.traces(Xs) for s, Xs in zip(self.stacks, X)]
+        rp = -b
+        np.subtract.at(rp, self.coords, self._in_order(v))  # adds up repeated coords
+        return rp, max([0.0] + [_norms(t).max(initial=0.0) for t in v])
+
+    def newton(self, W, R, C, rp):
+        """The Schur complement M_kl = sum_b tr(A_bk W_b A_bl W_b),
+        symmetrised and its diagonal shifted by 1e-14, and the right-hand
+        sides -rp + sum_b tr(A_bk R_b) and sum_b tr(A_bk C_b)."""
+        m = len(rp)
+        M = np.zeros((m, m))
+        for i, k, ix in self._loop:
+            M[ix] += self.stacks[i].schur(W[i][k], k)
+        rhs = np.zeros((m, 2))
+        rhs[:, 0] = -rp
+        for j, T in enumerate((R, C)):
+            np.add.at(rhs[:, j], self.coords, self._in_order(map(_Stack.traces, self.stacks, T)))
+        M += M.T
+        M *= 0.5
+        M.flat[:: m + 1] += 1e-14
+        return M, rhs
+
+
 def _assemble(model: SdpModel):
-    """Flatten a realified model into (b, blocks); each scalar is a 1x1 block."""
+    """Flatten a realified model into (b, _Blocks); each scalar is a 1x1 block."""
     obj = model.require_objective()
     offsets, m = model.coord_offsets()
     flip = -1.0 if obj.sense == "minimize" else 1.0
     b = flip * obj.functional.coeffs(offsets, m)
 
-    blocks = []
-    for lmi in model.lmis:
-        G0, idx, A = lmi.slices(offsets)
-        blocks.append(_Block(np.ascontiguousarray(G0.real), idx, A.real))
-    for sc in model.scalars:
-        f = sc.functional
-        blocks.append(_Block(np.array([[f.constant]]), np.arange(m),
-                             f.coeffs(offsets, m)[:, None, None]))
-    return b, blocks
+    def dense():
+        for lmi in model.lmis:
+            yield lmi.slices(offsets)
+        for sc in model.scalars:
+            f = sc.functional
+            yield np.array([[f.constant]]), np.arange(m), f.coeffs(offsets, m)[:, None, None]
+
+    return b, _Blocks(dense())
 
 
 def _sym(M):
-    return (M + M.T) / 2
+    return (M + M.swapaxes(-1, -2)) / 2
+
+
+def _dot(P, Q):
+    """tr(P_k' Q_k) for each k of two stacks, as a row times a column: so
+    it adds up as np.tensordot and np.linalg.norm do, unlike einsum or sum."""
+    return (P.reshape(len(P), 1, -1) @ Q.reshape(len(Q), -1, 1)).reshape(len(P))
+
+
+def _norms(A):
+    return np.sqrt(_dot(A, A))
 
 
 def _nt_scaling(X, S, Lx, Ls):
-    """W with W S W = X, for symmetric PD X = Lx Lx' and S = Ls Ls'.
+    """W_k with W_k S_k W_k = X_k, for each k of stacks of symmetric PD
+    X_k = Lx_k Lx_k' and S_k = Ls_k Ls_k'.
 
     W = X^1/2 (X^1/2 S X^1/2)^-1/2 X^1/2 from eigendecompositions.  When X
     factors but eigh finds an eigenvalue <= 0 in it (X is singular to
     rounding), X^1/2 is useless and W would blow up; W is then taken from
     the Cholesky factors, W = G G' with G = Lx V diag(sv)^-1/2 and
-    Ls' Lx = U diag(sv) V', which needs no eigenvalue of X.
+    Ls' Lx = U diag(sv) V', which needs no eigenvalue of X.  Such blocks
+    are redone one at a time, after the eigenvalue formula has run on the
+    whole stack with the absolute values of their eigenvalues.
     """
     w, Q = np.linalg.eigh(_sym(X))
-    if w.min() <= 0:
-        _, sv, Vt = np.linalg.svd(Ls.T @ Lx)
-        G = Lx @ (Vt.T / np.sqrt(sv))
-        return _sym(G @ G.T)
-    Xh = (Q * np.sqrt(w)) @ Q.T
+    singular = w[:, 0] <= 0  # eigh sorts ascending
+    Xh = (Q * np.sqrt(np.abs(w))[:, None, :]) @ Q.transpose(0, 2, 1)
     v, P = np.linalg.eigh(_sym(Xh @ S @ Xh))
-    Mih = (P / np.sqrt(np.maximum(v, 1e-300))) @ P.T
-    return _sym(Xh @ Mih @ Xh)
+    Mih = (P / np.sqrt(np.maximum(v, 1e-300))[:, None, :]) @ P.transpose(0, 2, 1)
+    W = _sym(Xh @ Mih @ Xh)
+    for k in np.flatnonzero(singular):
+        _, sv, Vt = np.linalg.svd(Ls[k].T @ Lx[k])
+        G = Lx[k] @ (Vt.T / np.sqrt(sv))
+        W[k] = _sym(G @ G.T)
+    return W
 
 
 def _chol(mats):
-    """Cholesky factors (L, L^-1), X = L L', of every matrix, or None if one
-    is not numerically PD.  An accepted iterate keeps them: L^-1 for the
-    ratio tests of the next iteration, L for the NT scaling's fallback."""
+    """Cholesky factors (L, L^-1), X = L L', of every stack of matrices, or
+    None if one is not numerically PD.  An accepted iterate keeps them: L^-1
+    for the ratio tests of the next iteration, L for the NT scaling's fallback."""
     try:
         L = [np.linalg.cholesky(M) for M in mats]
     except np.linalg.LinAlgError:
         return None
-    return [(Lb, np.linalg.inv(Lb)) for Lb in L]
+    return [(Ls, np.linalg.inv(Ls)) for Ls in L]
 
 
 def _max_step(Linv, D, frac):
-    """Ratio-test step length along D from the PD point X = L L'.
+    """Ratio-test step length along a stack D from the PD points X = L L'.
 
-    Takes the cached inverse factor L^-1 of X, so the test costs two
-    matrix products and one eigvalsh.  Returns 1 if X + D stays PSD,
-    otherwise frac times the distance to the cone boundary,
-    -frac / lambda_min(L^-1 D L^-T), capped at 1.  The result is positive
-    for any finite D, but in floating point X + alpha*D can still fail to
-    factor when X is nearly singular; _interior_step backtracks from
-    there.  A D whose eigenvalues cannot be computed (a NaN direction)
-    raises _Diverged.
+    Takes the cached inverse factors L^-1 of X, so the test costs two
+    matrix products and one eigvalsh per stack.  Returns 1 if X + D stays
+    PSD, otherwise frac times the distance to the cone boundary,
+    -frac / lambda_min(L^-1 D L^-T), capped at 1, with lambda_min taken
+    over all blocks.  The result is positive for any finite D, but in floating
+    point X + alpha*D can still fail to factor when X is nearly singular;
+    _interior_step backtracks from there.  A D whose eigenvalues cannot be
+    computed (a NaN direction) raises _Diverged.
     """
     try:
-        lam = np.linalg.eigvalsh(_sym(Linv @ D @ Linv.T)).min()
+        lam = np.linalg.eigvalsh(_sym(Linv @ D @ Linv.transpose(0, 2, 1))).min()
     except np.linalg.LinAlgError:  # a NaN direction
         raise _Diverged
     if lam >= -1e-300:
@@ -239,12 +316,12 @@ _STALL_ITERS = 2
 def _interior_step(X, D, alpha):
     """Take the step X + alpha*D, halving alpha until every block factors.
 
-    Returns (alpha, new blocks, their _chol factors), or None once alpha
+    Returns (alpha, new stacks, their _chol factors), or None once alpha
     has to drop below _MIN_STEP, so an accepted iterate is always strictly
     PD.  The ratio-test step itself is always tried, however short.
     """
     while True:
-        new = [_sym(Xb + alpha * Db) for Xb, Db in zip(X, D)]
+        new = [_sym(Xs + alpha * Ds) for Xs, Ds in zip(X, D)]
         L = _chol(new)
         if L is not None:
             return alpha, new, L
@@ -259,48 +336,37 @@ class _Diverged(Exception):
     iterations = 0
 
 
-def _solve_canonical(b, blocks, opts: SolveOptions, tau_mul: float, frac: float):
+def _solve_canonical(b, blocks: _Blocks, opts: SolveOptions, tau_mul: float, frac: float):
     """Run the path follower; returns (status, y, X, gap, pinf, dinf, iters).
 
+    X, S and the other per-block terms hold one array per stack of blocks.
     Raises _Diverged, with the iterations run, when the iterates blow up.
     """
+    stacks = blocks.stacks
     m = len(b)
-    nu = sum(blk.dim for blk in blocks)
-    scale = 1.0 + max(
-        [np.abs(b).max(initial=0.0)]
-        + [np.abs(blk.G0).max(initial=0.0) for blk in blocks]
-        + [np.abs(blk.val).max(initial=0.0) for blk in blocks]
-    )
+    nu = sum(s.G0.shape[0] * s.dim for s in stacks)
+    scale = 1.0 + max([np.abs(b).max(initial=0.0)] + [
+        np.abs(a).max(initial=0.0) for s in stacks for a in (s.G0, s.val)])
     # a generous interior start keeps early iterates away from the cone
     # boundary, which matters more here than a warm scale estimate
     tau = tau_mul * scale
     y = np.zeros(m)
-    X = [tau * np.eye(blk.dim) for blk in blocks]
-    S = [tau * np.eye(blk.dim) for blk in blocks]
+    X = [tau * np.broadcast_to(np.eye(s.dim), s.G0.shape) for s in stacks]
+    S = [Xs.copy() for Xs in X]
     LX, LS = _chol(X), _chol(S)
     stuck = 0  # consecutive iterations in which X or (y, S) could not move
 
     bnorm = 1.0 + np.linalg.norm(b)
 
-    def residuals():
-        rp = -b.copy()
-        ax = 0.0
-        for blk, Xb in zip(blocks, X):
-            v = blk.traces(Xb)
-            rp[blk.idx] -= v
-            ax = max(ax, np.linalg.norm(v))
-        Rd = [blk.G0 + blk.combine(y[blk.idx]) - Sb for blk, Sb in zip(blocks, S)]
-        return rp, Rd, ax
-
     def ratio_test(F, D):  # the step along D that every block allows
-        return min(_max_step(Linv, Db, frac) for (_, Linv), Db in zip(F, D))
+        return min(_max_step(Linv, Ds, frac) for (_, Linv), Ds in zip(F, D))
 
     def direction(dy, Rc):
         dS, dX = [], []
-        for blk, Wb, Rdb, Rcb in zip(blocks, W, Rd, Rc):
-            dSb = Rdb + blk.combine(dy[blk.idx])
-            dS.append(_sym(dSb))
-            dX.append(_sym(Rcb - Wb @ dSb @ Wb))
+        for s, Ws, Rds, Rcs in zip(stacks, W, Rd, Rc):
+            dSs = Rds + s.combine(dy[s.idx])
+            dS.append(_sym(dSs))
+            dX.append(_sym(Rcs - Ws @ dSs @ Ws))
         return dX, dS
 
     status = "iteration_limit"
@@ -308,70 +374,54 @@ def _solve_canonical(b, blocks, opts: SolveOptions, tau_mul: float, frac: float)
     gap = pinf = dinf = np.inf
     try:
         for it in range(1, opts.max_iters + 1):
-            rp, Rd, ax = residuals()
-            trxs = sum(np.tensordot(Xb, Sb) for Xb, Sb in zip(X, S))
+            rp, ax = blocks.residual(b, X)
+            Rd = [s.G0 + s.combine(y[s.idx]) - Ss for s, Ss in zip(stacks, S)]
+            trxs = blocks.total([_dot(Xs, Ss) for Xs, Ss in zip(X, S)])
             mu = trxs / nu
-            pobj = sum(np.tensordot(blk.G0, Xb) for blk, Xb in zip(blocks, X))
+            pobj = blocks.total([_dot(s.G0, Xs) for s, Xs in zip(stacks, X)])
             dobj = b @ y
             gap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
             pinf = np.linalg.norm(rp) / max(bnorm, 1.0 + ax)
-            dinf = max(
-                np.linalg.norm(R) / (1 + max(np.linalg.norm(blk.G0), np.linalg.norm(Sb)))
-                for blk, R, Sb in zip(blocks, Rd, S)
-            )
+            dinf = max((_norms(R) / (1 + np.maximum(s.G0_norms, _norms(Ss)))).max()
+                       for s, R, Ss in zip(stacks, Rd, S))
             if gap <= opts.gap_tol and pinf <= opts.feas_tol and dinf <= opts.feas_tol:
                 status = "optimal"
                 break
-            iterate_norm = max(
-                np.abs(y).max(initial=0.0),
-                max(np.abs(Xb).max() for Xb in X),
-                max(np.abs(Sb).max() for Sb in S),
-            )
+            iterate_norm = max([np.abs(y).max(initial=0.0)] + [np.abs(A).max() for A in X + S])
             if not np.isfinite(mu) or iterate_norm > 1e12 * scale:
                 raise _Diverged
             if mu < 1e-16 * scale and (pinf > 1e-4 or dinf > 1e-4):
                 raise _Diverged
 
-            W = [_nt_scaling(Xb, Sb, Lx, Ls) for Xb, Sb, (Lx, _), (Ls, _) in zip(X, S, LX, LS)]
+            W = [_nt_scaling(Xs, Ss, Lx, Ls) for Xs, Ss, (Lx, _), (Ls, _) in zip(X, S, LX, LS)]
             Sinv = []
-            for Sb in S:
-                w, Q = np.linalg.eigh(Sb)
+            for Ss in S:
+                w, Q = np.linalg.eigh(Ss)
                 if w.min() <= 0:
                     return "numerical_failure", y, X, gap, pinf, dinf, it
-                Sinv.append(_sym((Q / w) @ Q.T))
+                Sinv.append(_sym((Q / w[:, None, :]) @ Q.transpose(0, 2, 1)))
 
-            # Schur complement M_kl = sum_b tr(A_k W A_l W).  A direction's
-            # right-hand side -rp + sum_b tr(A_k (Rc - W Rd W)) is affine in
-            # the centring term Rc, so one solve with two columns gives the
-            # affine part (Rc = -X) and the centring part (Rc = S^-1) of dy
-            M = np.zeros((m, m))
-            rhs = np.zeros((m, 2))
-            rhs[:, 0] = -rp
-            for blk, Wb, Rdb, Xb, Si in zip(blocks, W, Rd, X, Sinv):
-                M[np.ix_(blk.idx, blk.idx)] += blk.schur(Wb)
-                rhs[blk.idx, 0] += blk.traces(-Xb - Wb @ Rdb @ Wb)
-                rhs[blk.idx, 1] += blk.traces(Si)
-            M = _sym(M) + 1e-14 * np.eye(m)
+            # a direction's right-hand side -rp + sum_b tr(A_k (Rc - W Rd W))
+            # is affine in the centring term Rc, so one solve with two
+            # columns gives the affine part (Rc = -X) and the centring part
+            # (Rc = S^-1) of dy
+            M, rhs = blocks.newton(
+                W, [-Xs - Ws @ Rds @ Ws for Xs, Ws, Rds in zip(X, W, Rd)], Sinv, rp)
             try:
                 dy_aff, dy_cen = np.linalg.solve(M, rhs).T
             except np.linalg.LinAlgError:
                 raise _Diverged
 
-            # predictor (affine direction)
-            dX_a, dS_a = direction(dy_aff, [-Xb for Xb in X])
+            # predictor (affine direction); its decrease picks the centring
+            # weight, then the corrector re-centres (no second-order term;
+            # more robust on small blocks)
+            dX_a, dS_a = direction(dy_aff, [-Xs for Xs in X])
             ap, ad = ratio_test(LX, dX_a), ratio_test(LS, dS_a)
-            if opts.mehrotra:
-                # use the affine decrease to pick the centering weight, then
-                # recenter (no second-order term; more robust on small blocks)
-                trxs_a = sum(
-                    np.tensordot(Xb + ap * dXb, Sb + ad * dSb)
-                    for Xb, dXb, Sb, dSb in zip(X, dX_a, S, dS_a)
-                )
-                sigma = np.clip((max(trxs_a, 0.0) / trxs) ** 3, opts.min_sigma, opts.max_sigma)
-            else:
-                sigma = 0.5 if min(ap, ad) < 0.5 else 0.05
+            trxs_a = blocks.total(
+                [_dot(Xs + ap * dXs, Ss + ad * dSs) for Xs, dXs, Ss, dSs in zip(X, dX_a, S, dS_a)])
+            sigma = np.clip((max(trxs_a, 0.0) / trxs) ** 3, opts.min_sigma, opts.max_sigma)
             dy = dy_aff + sigma * mu * dy_cen
-            dX, dS = direction(dy, [_sym(sigma * mu * Si - Xb) for Si, Xb in zip(Sinv, X)])
+            dX, dS = direction(dy, [_sym(sigma * mu * Si - Xs) for Si, Xs in zip(Sinv, X)])
             primal = _interior_step(X, dX, ratio_test(LX, dX))
             dual = _interior_step(S, dS, ratio_test(LS, dS))
             # a side that cannot move stays put for this iteration: the other

@@ -8,7 +8,9 @@ from tracelift.geomean import GeoMeanTask, build_geomean
 from tracelift.instances import random_matrix, random_pd
 from tracelift.kernel import RationalExponent
 from tracelift.lieb import build_kron_power, build_lieb
-from tracelift.model import AffineBlock, LinearFunctional, ModelBuilder, realify, var_basis
+from tracelift.model import (
+    AffineBlock, LinearFunctional, ModelBuilder, RealifiedTerm, phi, realify, var_basis,
+)
 from tracelift.sdpa import export_sdpa, import_sdpa
 from tracelift.solver import solve
 
@@ -115,16 +117,23 @@ class TestScalarBlocks:
         assert back.scalar_count == model.scalar_count
 
 
+def coord_image(t, k):
+    """Term t's image of basis matrix k of its variable, from ``evaluate``."""
+    if isinstance(t, RealifiedTerm):
+        return phi(t.inner.evaluate({t.inner.var: var_basis(t.inner.var)[k]}))
+    return t.evaluate({t.var: var_basis(t.var)[k]})
+
+
 def oracle_slices(lmi, offsets):
     """Per-coordinate reference for LmiConstraint.slices: an np.block of the
-    summed constant terms, and one of the summed apply_coord(k) per
+    summed constant terms, and one of the summed coord_image(t, k) per
     coordinate."""
     zero = np.zeros((lmi.dim, lmi.dim), dtype=complex)
     G0 = np.block([[sum((t.matrix for t in blk.terms if t.var is None), zero)
                     for blk in row] for row in lmi.grid])
     coords = [(v, k) for v in sorted(lmi.vars(), key=lambda u: offsets[u])
               for k in range(len(var_basis(v)))]
-    A = [np.block([[sum((t.apply_coord(k) for t in blk.terms if t.var == v), zero)
+    A = [np.block([[sum((coord_image(t, k) for t in blk.terms if t.var == v), zero)
                     for blk in row] for row in lmi.grid]) for v, k in coords]
     return G0, [offsets[v] + k for v, k in coords], A
 

@@ -10,7 +10,7 @@ from tracelift.kernel import (
 )
 from tracelift.lieb import build_fidelity, build_kron_power, build_lieb, build_upsilon
 from tracelift.model import AffineBlock, LinearFunctional, ModelBuilder, realify
-from tracelift.solver import SolveOptions, _assemble, _Block, _chol, _nt_scaling, solve
+from tracelift.solver import SolveOptions, _assemble, _Blocks, _chol, _nt_scaling, solve
 
 
 def scalar_var(b):
@@ -116,12 +116,28 @@ class TestDivergence:
         assert last.iterations == res.iterations
 
 
+def nt_scaling(X, S):
+    """_nt_scaling of one pair, as a stack of one."""
+    (Lx, _), (Ls, _) = _chol([X[None], S[None]])
+    return _nt_scaling(X[None], S[None], Lx, Ls)[0]
+
+
+def singular_to_rounding(rng):
+    """A 4x4 X that factors but in which eigh finds an eigenvalue <= 0,
+    or None for a draw where it does not."""
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    X = (Q * [8.0, 3.0, 1.0, 1e-17]) @ Q.T
+    X = (X + X.T) / 2
+    if _chol([X[None]]) is None or np.linalg.eigvalsh(X).min() > 0:
+        return None
+    return X
+
+
 class TestNtScaling:
     def test_w_s_w_is_x(self, rng):
         R = rng.standard_normal((2, 4, 4))
         X, S = (Rb @ Rb.T + np.eye(4) for Rb in R)
-        (Lx, _), (Ls, _) = _chol([X, S])
-        W = _nt_scaling(X, S, Lx, Ls)
+        W = nt_scaling(X, S)
         assert np.abs(W @ S @ W - X).max() <= 1e-12 * np.abs(X).max()
 
     def test_singular_to_rounding(self):
@@ -132,20 +148,35 @@ class TestNtScaling:
         found = 0
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-            X = (Q * [8.0, 3.0, 1.0, 1e-17]) @ Q.T
-            X = (X + X.T) / 2
-            F = _chol([X])
-            if F is None or np.linalg.eigvalsh(X).min() > 0:
+            X = singular_to_rounding(rng)
+            if X is None:
                 continue
             found += 1
             R = rng.standard_normal((4, 4))
             S = R @ R.T + np.eye(4)
-            (Lx, _), (Ls, _) = F[0], _chol([S])[0]
-            W = _nt_scaling(X, S, Lx, Ls)
+            W = nt_scaling(X, S)
             assert np.abs(W).max() < 1e3
             assert np.abs(W @ S @ W - X).max() <= 1e-6 * np.abs(X).max()
         assert found
+
+    def test_mixed_stack_matches_single_calls(self):
+        # one block of the stack takes the Cholesky/SVD fallback, the
+        # others the eigenvalue formula; each must come out bit for bit as
+        # when it is scaled alone
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            X = singular_to_rounding(rng)
+            if X is not None:
+                break
+        R = rng.standard_normal((4, 4, 4))
+        Xs = np.stack([R[0] @ R[0].T + np.eye(4), X, R[1] @ R[1].T + np.eye(4)])
+        Ss = np.stack([R[2] @ R[2].T + np.eye(4)] * 2 + [R[3] @ R[3].T + np.eye(4)])
+        (Lx, _), (Ls, _) = _chol([Xs, Ss])
+        W = _nt_scaling(Xs, Ss, Lx, Ls)
+        for k in range(3):
+            assert np.array_equal(W[k], nt_scaling(Xs[k], Ss[k]))
+            assert np.abs(W[k] @ Ss[k] @ W[k] - Xs[k]).max() <= 1e-6 * np.abs(Xs[k]).max()
+        assert np.abs(W[1]).max() < 1e3
 
 
 class TestDeterminism:
@@ -187,8 +218,8 @@ class TestResultContents:
 
 
 def dense_slices(model):
-    """The dense (G0, idx, A) stacks that _assemble packs, in its block
-    order: one per LMI, then a 1x1 block per scalar constraint."""
+    """The dense (G0, idx, A) stacks that _assemble packs, in model order:
+    one per LMI, then a 1x1 block per scalar constraint."""
     offsets, m = model.coord_offsets()
     for lmi in model.lmis:
         G0, idx, A = lmi.slices(offsets)
@@ -203,19 +234,29 @@ def assert_close(got, want):
     assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=1.0)
 
 
-def check_block(blk, idx, A, rng):
-    """The sparse kernels of blk against tensordot on the dense stack."""
-    keep = A.any(axis=(1, 2))
-    assert blk.idx.tolist() == np.asarray(idx)[keep].tolist()
-    A = A[keep]
-    d = blk.dim
-    R = rng.standard_normal((d, d))
-    X, W = R + R.T, R @ R.T + d * np.eye(d)
-    w = rng.standard_normal(len(A))
-    assert_close(blk.traces(X), np.tensordot(A, X, axes=([1, 2], [0, 1])))
-    assert_close(blk.combine(w), np.tensordot(w, A, axes=(0, 0)))
-    T = W[None] @ A @ W[None]
-    assert_close(blk.schur(W), np.tensordot(A, T, axes=([1, 2], [1, 2])))
+def sym_stack(rng, nb, d, shift=0.0):
+    R = rng.standard_normal((nb, d, d))
+    return R @ R.transpose(0, 2, 1) + shift * np.eye(d) if shift else R + R.transpose(0, 2, 1)
+
+
+def check_stacks(blocks, dense, rng):
+    """The stacked kernels against tensordot on each block's dense slices."""
+    assert sorted(o for s in blocks.stacks for o in s.order) == list(range(len(dense)))
+    for s in blocks.stacks:
+        nb, d = len(s.order), s.dim
+        X, W = sym_stack(rng, nb, d), sym_stack(rng, nb, d, shift=d)
+        w = rng.standard_normal(s.idx.shape)
+        traces, combined = s.traces(X), s.combine(w)
+        for k, o in enumerate(s.order):
+            G0, idx, A = dense[o]
+            keep = A.any(axis=(1, 2))
+            assert np.array_equal(s.G0[k], G0)
+            assert s.idx[k].tolist() == np.asarray(idx)[keep].tolist()
+            A = A[keep]
+            assert_close(traces[k], np.tensordot(A, X[k], axes=([1, 2], [0, 1])))
+            assert_close(combined[k], np.tensordot(w[k], A, axes=(0, 0)))
+            T = W[k][None] @ A @ W[k][None]
+            assert_close(s.schur(W[k], k), np.tensordot(A, T, axes=([1, 2], [1, 2])))
 
 
 class TestSparseBlock:
@@ -232,29 +273,72 @@ class TestSparseBlock:
             model = build_lieb(K, random_pd(2, rng), random_pd(3, rng), RationalExponent(1, 3)).model
         model, _ = realify(model, force_embed=False)
         _, blocks = _assemble(model)
-        stacks = list(dense_slices(model))
-        assert len(blocks) == len(stacks)
+        assert any(len(s.order) > 1 for s in blocks.stacks)
         if make == "lieb":
-            assert any(blk.dim == 1 for blk in blocks)
-        for blk, (G0, idx, A) in zip(blocks, stacks):
-            assert np.array_equal(blk.G0, G0)
-            check_block(blk, idx, A, rng)
+            assert any(s.dim == 1 for s in blocks.stacks)
+        check_stacks(blocks, list(dense_slices(model)), rng)
 
     def test_padded_slices(self, rng):
-        # one, four and nine nonzeros, and an all-zero slice that is dropped
+        # one, four and nine nonzeros, and an all-zero slice that is dropped;
+        # a block of the same size and slice count whose slices are
+        # narrower is a stack of its own
         A = np.zeros((4, 3, 3))
         A[0, 1, 1] = 2.0
         A[1, 0, 2] = A[1, 2, 0] = -1.5
         A[1, 1, 2] = A[1, 2, 1] = 0.25
         R = rng.standard_normal((3, 3))
         A[3] = R + R.T
-        blk = _Block(np.eye(3), np.array([5, 2, 7, 0]), A)
-        assert blk.idx.tolist() == [5, 2, 0]
-        assert (blk.val != 0).sum(axis=1).tolist() == [1, 4, 9]
-        check_block(blk, [5, 2, 7, 0], A, rng)
+        narrow = np.eye(3)[[0, 1, 2, 0]][:, None] * np.eye(3)
+        dense = [(np.eye(3), np.array([5, 2, 7, 0]), A), (2 * np.eye(3), np.arange(4), narrow)]
+        blocks = _Blocks(iter(dense))
+        assert [s.order.tolist() for s in blocks.stacks] == [[0], [1]]
+        s = blocks.stacks[0]
+        assert s.idx.tolist() == [[5, 2, 0]]
+        assert (s.val[0] != 0).sum(axis=1).tolist() == [1, 4, 9]
+        check_stacks(blocks, dense, rng)
 
     def test_all_zero_slices(self, rng):
-        blk = _Block(np.eye(3), np.array([0, 1]), np.zeros((2, 3, 3)))
-        assert len(blk.idx) == 0
-        check_block(blk, [0, 1], np.zeros((2, 3, 3)), rng)
-        assert np.array_equal(blk.combine(np.zeros(0)), np.zeros((3, 3)))
+        dense = [(np.eye(3), np.array([0, 1]), np.zeros((2, 3, 3)))]
+        blocks = _Blocks(iter(dense))
+        assert blocks.stacks[0].idx.shape == (1, 0)
+        check_stacks(blocks, dense, rng)
+        assert np.array_equal(blocks.stacks[0].combine(np.zeros((1, 0))), np.zeros((1, 3, 3)))
+
+
+class TestNewtonSystem:
+    def test_shared_coordinates_add_up(self, rng):
+        # T and Z occur in two LMIs of one shape, so the two blocks share a
+        # stack and every coordinate: M, rhs and rp must add both blocks'
+        # terms, which a fancy-index += over the stacked coordinates drops
+        A, B = random_pd(2, rng), random_pd(2, rng)
+        mb = ModelBuilder()
+        T, Z = mb.fresh_var("T", 2), mb.fresh_var("Z", 2)
+        mb.add_lmi2(AffineBlock.constant(A), AffineBlock.of_var(T), AffineBlock.of_var(Z))
+        mb.add_lmi2(AffineBlock.constant(B), AffineBlock.of_var(T), AffineBlock.of_var(Z))
+        mb.add_scalar(LinearFunctional(1.0, [(T, -np.eye(2))]))
+        mb.set_objective("maximize", LinearFunctional(0.0, [(T, np.eye(2))]))
+        model, _ = realify(mb.freeze())
+        b, blocks = _assemble(model)
+        dense = list(dense_slices(model))
+        assert [s.order.tolist() for s in blocks.stacks] == [[0, 1], [2]]
+        assert set(blocks.stacks[0].idx[0]) & set(blocks.stacks[0].idx[1])
+
+        # per-block X, W (PD), R and C, in model order and as stacks
+        per = {name: [sym_stack(rng, 1, len(G0), shift=shift)[0] for G0, _, _ in dense]
+               for name, shift in (("X", 0), ("W", 4.0), ("R", 0), ("C", 0))}
+        stacked = {name: [np.stack([v[o] for o in s.order]) for s in blocks.stacks]
+                   for name, v in per.items()}
+        rp, ax = blocks.residual(b, stacked["X"])
+        M, rhs = blocks.newton(stacked["W"], stacked["R"], stacked["C"], rp)
+
+        m = len(b)
+        want_rp, want_M, want_rhs = -b, np.zeros((m, m)), np.zeros((m, 2))
+        for (G0, idx, Ab), X, W, R, C in zip(dense, *per.values()):
+            want_rp[idx] -= np.tensordot(Ab, X, axes=([1, 2], [0, 1]))
+            want_M[np.ix_(idx, idx)] += np.tensordot(Ab, W[None] @ Ab @ W[None], axes=([1, 2], [1, 2]))
+            want_rhs[idx, 0] += np.tensordot(Ab, R, axes=([1, 2], [0, 1]))
+            want_rhs[idx, 1] += np.tensordot(Ab, C, axes=([1, 2], [0, 1]))
+        want_rhs[:, 0] -= want_rp
+        assert_close(rp, want_rp)
+        assert_close(M, (want_M + want_M.T) / 2 + 1e-14 * np.eye(m))
+        assert_close(rhs, want_rhs)

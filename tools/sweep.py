@@ -1,18 +1,20 @@
 """The hard-set sweep of ROADMAP item 1: how often the solver misses
 `optimal` on the n=2 instances that fail most.
 
-    python3 tools/sweep.py [--src DIR]
+    python3 tools/sweep.py [--src DIR] [--real] [--n N] [--each]
 
 Solves upsilon t = -1/2, 3/2, 1/2, lieb t = 1/3 and tsallis_rel t = 1/4 at
-n = 2 with complex data, 40 trials for each of seeds 0, 5 and 7 (600
-solves).  Each (function, t, seed) draws its trials in turn from
-``default_rng(seed)``, as ``tracelift verify --trials 40`` does, and BLAS
-runs on one thread, because the thread count changes iteration counts.
-Prints each non-optimal solve, then one line: the number of solves, how
-many were not optimal, the solver iterations summed over every attempt of
-the retry ladder (``SolveResult.attempts``) and the wall time.  ``--src``
-imports tracelift from another checkout's src/ directory; for a version
-without ``attempts`` the iteration sum reads n/a.
+n = 2 (``--n``) with complex data (real with ``--real``), 40 trials for
+each of seeds 0, 5 and 7 (600 solves).  Each (function, t, seed) draws its
+trials in turn from ``default_rng(seed)``, as ``tracelift verify --trials
+40`` does, and BLAS runs on one thread, because the thread count changes
+iteration counts.  Prints each non-optimal solve (each solve, with the
+iterations of every attempt, under ``--each``, so that the outputs of two
+versions can be compared with diff), then one line: the number of solves,
+how many were not optimal, the solver iterations summed over every attempt
+of the retry ladder (``SolveResult.attempts``) and the wall time.
+``--src`` imports tracelift from another checkout's src/ directory; for a
+version without ``attempts`` the iteration sum reads n/a.
 """
 
 import os
@@ -29,13 +31,16 @@ HARD_SET = [("upsilon", "-1/2"), ("upsilon", "3/2"), ("upsilon", "1/2"),
             ("lieb", "1/3"), ("tsallis_rel", "1/4")]
 SEEDS = (0, 5, 7)
 TRIALS = 40
-N = 2
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
                     help="directory that holds the tracelift package (default: this checkout's src/)")
+    ap.add_argument("--real", action="store_true", help="draw real data instead of complex")
+    ap.add_argument("--n", type=int, default=2, help="matrix size (default: 2)")
+    ap.add_argument("--each", action="store_true",
+                    help="print every solve with the iterations of each attempt")
     args = ap.parse_args(argv)
     sys.path.insert(0, args.src)
     import numpy as np
@@ -47,16 +52,20 @@ def main(argv=None):
     iters = 0  # None once a result has no attempts log
     start = time.perf_counter()
     for fn, t in HARD_SET:
-        spec = parser.parse_args(["verify", "--function", fn, "--t", t, "--n", str(N), "--complex"])
+        spec = parser.parse_args(["verify", "--function", fn, "--t", t, "--n", str(args.n)]
+                                 + ([] if args.real else ["--complex"]))
         for seed in SEEDS:
             rng = np.random.default_rng(seed)
             for trial in range(TRIALS):
                 res = solve(_Instance(spec, rng).build().model)
                 solves += 1
-                if not res.ok:
-                    failed += 1
-                    print(f"{fn} t={t} seed={seed} trial={trial}: {res.status}")
+                failed += not res.ok
                 attempts = getattr(res, "attempts", None)
+                if args.each:
+                    per = "n/a" if attempts is None else [a.iterations for a in attempts]
+                    print(f"{fn} t={t} seed={seed} trial={trial}: {res.status} {per}")
+                elif not res.ok:
+                    print(f"{fn} t={t} seed={seed} trial={trial}: {res.status}")
                 if attempts is None or iters is None:
                     iters = None
                 else:
