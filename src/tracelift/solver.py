@@ -9,10 +9,15 @@ for every block b, with the matching primal
     minimize  sum_b tr(G0_b X_b)   s.t.  sum_b tr(A_bk X_b) = -b_k.
 
 The method is infeasible-start path following with Nesterov-Todd
-scaling.  Each iteration takes an affine (predictor) direction, uses it
-to pick the centring weight, and then takes a re-centred (corrector)
-direction; the corrector has no second-order term.  Complex models are
-realified first; solutions are mapped back to the original variables.
+scaling and Mehrotra's predictor-corrector: each iteration takes an
+affine (predictor) direction, uses it to pick the centring weight, and
+then takes a corrector direction that adds the predictor's second-order
+term, in the NT-scaled form of Todd, Toh and Tutuncu (1998).  A corrector
+step that raises the primal infeasibility, which only rounding can do, is
+replaced by the corrector without that term and then by a pure centring
+step; once the gap has closed, every step is a centring step.  Complex
+models are realified first; solutions are mapped back to the original
+variables.
 
 The coefficient slices A_k are kept sparse: every one is a single basis
 element in one grid slot, a handful of nonzeros in a block of a few
@@ -62,7 +67,8 @@ class Attempt(NamedTuple):
 
 @dataclass
 class SolveResult:
-    """Outcome of `solve`; the numbers describe the attempt with the least gap.
+    """Outcome of `solve`; the numbers describe the first optimal attempt,
+    or else the attempt with the least gap.
 
     ``status`` is one of
 
@@ -70,8 +76,7 @@ class SolveResult:
       all within ``gap_tol``/``feas_tol``; only then is ``objective`` set.
     - ``"iteration_limit"``: ``max_iters`` ran out before that.
     - ``"numerical_failure"``: the iterates stalled -- X or (y, S) found
-      no strictly interior step for several iterations in a row, or the
-      dual slack lost definiteness.
+      no strictly interior step for several iterations in a row.
     - ``"infeasible"``: every attempt diverged (iterates blew up, the
       search direction became NaN, or mu vanished with residuals still
       above 1e-4).  This is inferred from
@@ -96,17 +101,16 @@ class SolveResult:
         return self.status == "optimal"
 
 
-def _pack(F):
-    """The nonzeros of each row of F, left-aligned: (flat positions, values),
-    padded with position 0 and value 0 to the widest row."""
-    nz = F != 0
-    counts = nz.sum(axis=1)
-    k, p = np.nonzero(nz)  # grouped by row
+def _pack(k, p, v, rows):
+    """Entries (row k, flat position p, value v), grouped by row, left-aligned
+    into (positions, values) arrays of ``rows`` rows, padded with position 0
+    and value 0 to the widest row."""
+    counts = np.bincount(k, minlength=rows)
     slot = np.arange(len(k)) - np.repeat(np.cumsum(counts) - counts, counts)
-    pos = np.zeros((len(F), counts.max(initial=0)), dtype=int)
+    pos = np.zeros((rows, counts.max(initial=0)), dtype=int)
     val = np.zeros(pos.shape)
     pos[k, slot] = p
-    val[k, slot] = F[k, p]
+    val[k, slot] = v
     return pos, val
 
 
@@ -171,20 +175,25 @@ class _Blocks:
             d = len(G0)
             flat = A.real.reshape(len(A), d * d)
             del A
-            keep = np.flatnonzero(flat.any(axis=1))
-            flat = flat[keep]
-            pos, val = _pack(flat)
-            i, j = np.divmod(np.arange(d * d), d)
-            upos, uval = _pack(flat * np.select([i < j, i == j], [2.0, 1.0]))
+            k, p = np.nonzero(flat != 0)  # one scan; grouped by slice, columns ascending
+            v = flat[k, p]
+            del flat
+            has = np.bincount(k, minlength=len(idx)) > 0  # all-zero slices are dropped
+            k = (np.cumsum(has) - 1)[k]
+            na = int(has.sum())
+            pos, val = _pack(k, p, v, na)
+            i, j = np.divmod(p, d)
+            up = i <= j  # the upper triangle, off-diagonal values doubled
+            upos, uval = _pack(k[up], p[up], np.where(i < j, 2.0, 1.0)[up] * v[up], na)
             shapes.setdefault((d,) + pos.shape + upos.shape, []).append(
-                (n, G0.real, np.asarray(idx)[keep], pos, val, upos, uval))
+                (n, G0.real, np.asarray(idx)[has], pos, val, upos, uval))
             n += 1
         self.stacks = stacks = [_Stack(group) for group in shapes.values()]
         self._perm = np.argsort(np.concatenate([s.order for s in stacks]))
         self._rows = np.argsort(np.concatenate(
             [np.repeat(s.order, s.idx.shape[1]) for s in stacks]), kind="stable")
         self.coords = np.concatenate([s.idx.ravel() for s in stacks])[self._rows]
-        self._loop = [(i, k, np.ix_(stacks[i].idx[k], stacks[i].idx[k])) for _, i, k in sorted(
+        self._loop = [(i, k, stacks[i].idx[k]) for _, i, k in sorted(
             (o, i, k) for i, s in enumerate(stacks) for k, o in enumerate(s.order))]
 
     def total(self, vals):
@@ -201,21 +210,31 @@ class _Blocks:
         np.subtract.at(rp, self.coords, self._in_order(v))  # adds up repeated coords
         return rp, max([0.0] + [_norms(t).max(initial=0.0) for t in v])
 
+    def add_traces(self, out, T):
+        """Add sum_b tr(A_bk T_b) to out[k] for every coordinate k; returns out."""
+        np.add.at(out, self.coords, self._in_order(map(_Stack.traces, self.stacks, T)))
+        return out
+
     def newton(self, W, R, C, rp):
         """The Schur complement M_kl = sum_b tr(A_bk W_b A_bl W_b),
         symmetrised and its diagonal shifted by 1e-14, and the right-hand
-        sides -rp + sum_b tr(A_bk R_b) and sum_b tr(A_bk C_b)."""
+        sides -rp + sum_b tr(A_bk R_b) and sum_b tr(A_bk C_b).
+
+        Each block's term is symmetrised on its own na x na rows and added
+        through flat positions, which is cheaper than symmetrising M."""
         m = len(rp)
-        M = np.zeros((m, m))
-        for i, k, ix in self._loop:
-            M[ix] += self.stacks[i].schur(W[i][k], k)
+        M = np.zeros(m * m)
+        for i, k, idx in self._loop:
+            T = self.stacks[i].schur(W[i][k], k)
+            T = T + T.T
+            T *= 0.5
+            M[(idx[:, None] * m + idx).ravel()] += T.ravel()
+        M = M.reshape(m, m)
+        M.flat[:: m + 1] += 1e-14
         rhs = np.zeros((m, 2))
         rhs[:, 0] = -rp
         for j, T in enumerate((R, C)):
-            np.add.at(rhs[:, j], self.coords, self._in_order(map(_Stack.traces, self.stacks, T)))
-        M += M.T
-        M *= 0.5
-        M.flat[:: m + 1] += 1e-14
+            self.add_traces(rhs[:, j], T)
         return M, rhs
 
 
@@ -251,34 +270,57 @@ def _norms(A):
 
 
 def _nt_scaling(X, S, Lx, Ls):
-    """W_k with W_k S_k W_k = X_k, for each k of stacks of symmetric PD
-    X_k = Lx_k Lx_k' and S_k = Ls_k Ls_k'.
+    """(W, G, V) for each k of stacks of symmetric PD X_k = Lx_k Lx_k' and
+    S_k = Ls_k Ls_k': the NT scaling W_k, with W_k S_k W_k = X_k, a factor
+    G_k with G_k G_k' = W_k, and the vector V_k with G_k' S_k G_k = diag(V_k)
+    (so that G_k^-1 X_k G_k^-T = diag(V_k) too).
 
-    W = X^1/2 (X^1/2 S X^1/2)^-1/2 X^1/2 from eigendecompositions.  When X
-    factors but eigh finds an eigenvalue <= 0 in it (X is singular to
-    rounding), X^1/2 is useless and W would blow up; W is then taken from
-    the Cholesky factors, W = G G' with G = Lx V diag(sv)^-1/2 and
-    Ls' Lx = U diag(sv) V', which needs no eigenvalue of X.  Such blocks
-    are redone one at a time, after the eigenvalue formula has run on the
-    whole stack with the absolute values of their eigenvalues.
+    W = X^1/2 (X^1/2 S X^1/2)^-1/2 X^1/2, G = X^1/2 P diag(v)^-1/4 and V
+    = v^1/2, where X^1/2 S X^1/2 = P diag(v) P', from eigendecompositions.
+    When X factors but eigh finds an eigenvalue <= 0 in it (X is singular
+    to rounding), X^1/2 is useless and W would blow up; G and V are then
+    taken from the Cholesky factors, G = Lx Vs diag(sv)^-1/2 and V = sv,
+    where Ls' Lx = U diag(sv) Vs', which needs no eigenvalue of X, and W =
+    G G'.  Such blocks are redone one at a time, after the eigenvalue
+    formula has run on the whole stack with the absolute values of their
+    eigenvalues.
     """
     w, Q = np.linalg.eigh(_sym(X))
     singular = w[:, 0] <= 0  # eigh sorts ascending
     Xh = (Q * np.sqrt(np.abs(w))[:, None, :]) @ Q.transpose(0, 2, 1)
     v, P = np.linalg.eigh(_sym(Xh @ S @ Xh))
-    Mih = (P / np.sqrt(np.maximum(v, 1e-300))[:, None, :]) @ P.transpose(0, 2, 1)
+    V = np.sqrt(np.maximum(v, 1e-300))
+    Mih = (P / V[:, None, :]) @ P.transpose(0, 2, 1)
     W = _sym(Xh @ Mih @ Xh)
+    G = Xh @ (P / np.sqrt(V)[:, None, :])
     for k in np.flatnonzero(singular):
-        _, sv, Vt = np.linalg.svd(Ls[k].T @ Lx[k])
-        G = Lx[k] @ (Vt.T / np.sqrt(sv))
-        W[k] = _sym(G @ G.T)
-    return W
+        _, V[k], Vt = np.linalg.svd(Ls[k].T @ Lx[k])
+        G[k] = Lx[k] @ (Vt.T / np.sqrt(V[k]))
+        W[k] = _sym(G[k] @ G[k].T)
+    return W, G, V
+
+
+def _second_order(G, V, dS):
+    """Mehrotra's second-order term G Z G' of the corrector, for stacks.
+
+    In the space scaled by G the iterates are X~ = S~ = diag(V), the affine
+    dual step is dS~ = G' dS G and, as the affine primal step is dX = -X -
+    W dS W, dX~ = G^-1 dX G^-T = -diag(V) - dS~, which needs no inverse of G.
+    Z solves the Lyapunov equation diag(V) Z + Z diag(V) = -(dX~ dS~ +
+    dS~ dX~), elementwise since diag(V) is diagonal.
+    """
+    Gt = G.transpose(0, 2, 1)
+    dSt = _sym(Gt @ dS @ G)
+    P = (-V[:, :, None] * np.eye(V.shape[1]) - dSt) @ dSt  # dX~ dS~
+    Z = -(P + P.transpose(0, 2, 1)) / (V[:, :, None] + V[:, None, :])
+    return G @ Z @ Gt
 
 
 def _chol(mats):
     """Cholesky factors (L, L^-1), X = L L', of every stack of matrices, or
     None if one is not numerically PD.  An accepted iterate keeps them: L^-1
-    for the ratio tests of the next iteration, L for the NT scaling's fallback."""
+    for the ratio tests of the next iteration and, for S, S^-1 = L^-T L^-1;
+    L for the NT scaling's fallback."""
     try:
         L = [np.linalg.cholesky(M) for M in mats]
     except np.linalg.LinAlgError:
@@ -369,19 +411,43 @@ def _solve_canonical(b, blocks: _Blocks, opts: SolveOptions, tau_mul: float, fra
             dX.append(_sym(Rcs - Ws @ dSs @ Ws))
         return dX, dS
 
+    def infeasibility(X):  # the relative primal residual, and the residual
+        rp, ax = blocks.residual(b, X)
+        return np.linalg.norm(rp) / max(bnorm, 1.0 + ax), rp
+
+    def solve_m(M, rhs):
+        try:
+            return np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError:
+            raise _Diverged
+
+    def corrector(sigma, dy_c=0.0, C=()):
+        # (dy, Rc) of the direction with centring weight sigma and
+        # second-order part (dy_c, C): Rc = sigma mu S^-1 - X + C
+        Rc = [sigma * mu * Si - Xs for Si, Xs in zip(Sinv, X)]
+        for Rcs, Cs in zip(Rc, C):
+            Rcs += Cs
+        return dy_aff + sigma * mu * dy_cen + dy_c, Rc
+
+    def primal_step(dy, Rc):
+        # the direction's dS, X's step along it (None: X cannot move) and
+        # the primal infeasibility and residual there
+        dX, dS = direction(dy, Rc)
+        primal = _interior_step(X, dX, ratio_test(LX, dX))
+        return dS, primal, primal and infeasibility(primal[1])
+
     status = "iteration_limit"
     it = 0
     gap = pinf = dinf = np.inf
     try:
+        pinf, rp = infeasibility(X)
         for it in range(1, opts.max_iters + 1):
-            rp, ax = blocks.residual(b, X)
             Rd = [s.G0 + s.combine(y[s.idx]) - Ss for s, Ss in zip(stacks, S)]
             trxs = blocks.total([_dot(Xs, Ss) for Xs, Ss in zip(X, S)])
             mu = trxs / nu
             pobj = blocks.total([_dot(s.G0, Xs) for s, Xs in zip(stacks, X)])
             dobj = b @ y
             gap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
-            pinf = np.linalg.norm(rp) / max(bnorm, 1.0 + ax)
             dinf = max((_norms(R) / (1 + np.maximum(s.G0_norms, _norms(Ss)))).max()
                        for s, R, Ss in zip(stacks, Rd, S))
             if gap <= opts.gap_tol and pinf <= opts.feas_tol and dinf <= opts.feas_tol:
@@ -393,36 +459,43 @@ def _solve_canonical(b, blocks: _Blocks, opts: SolveOptions, tau_mul: float, fra
             if mu < 1e-16 * scale and (pinf > 1e-4 or dinf > 1e-4):
                 raise _Diverged
 
-            W = [_nt_scaling(Xs, Ss, Lx, Ls) for Xs, Ss, (Lx, _), (Ls, _) in zip(X, S, LX, LS)]
-            Sinv = []
-            for Ss in S:
-                w, Q = np.linalg.eigh(Ss)
-                if w.min() <= 0:
-                    return "numerical_failure", y, X, gap, pinf, dinf, it
-                Sinv.append(_sym((Q / w[:, None, :]) @ Q.transpose(0, 2, 1)))
+            W, G, V = zip(*(_nt_scaling(Xs, Ss, Lx, Ls)
+                            for Xs, Ss, (Lx, _), (Ls, _) in zip(X, S, LX, LS)))
+            Sinv = [Linv.transpose(0, 2, 1) @ Linv for _, Linv in LS]
 
             # a direction's right-hand side -rp + sum_b tr(A_k (Rc - W Rd W))
-            # is affine in the centring term Rc, so one solve with two
-            # columns gives the affine part (Rc = -X) and the centring part
-            # (Rc = S^-1) of dy
+            # is affine in the term Rc, so one solve with two columns gives
+            # the affine part (Rc = -X) and the centring part (Rc = S^-1) of
+            # dy, and a second solve the part of the second-order term
             M, rhs = blocks.newton(
                 W, [-Xs - Ws @ Rds @ Ws for Xs, Ws, Rds in zip(X, W, Rd)], Sinv, rp)
-            try:
-                dy_aff, dy_cen = np.linalg.solve(M, rhs).T
-            except np.linalg.LinAlgError:
-                raise _Diverged
-
-            # predictor (affine direction); its decrease picks the centring
-            # weight, then the corrector re-centres (no second-order term;
-            # more robust on small blocks)
-            dX_a, dS_a = direction(dy_aff, [-Xs for Xs in X])
-            ap, ad = ratio_test(LX, dX_a), ratio_test(LS, dS_a)
-            trxs_a = blocks.total(
-                [_dot(Xs + ap * dXs, Ss + ad * dSs) for Xs, dXs, Ss, dSs in zip(X, dX_a, S, dS_a)])
-            sigma = np.clip((max(trxs_a, 0.0) / trxs) ** 3, opts.min_sigma, opts.max_sigma)
-            dy = dy_aff + sigma * mu * dy_cen
-            dX, dS = direction(dy, [_sym(sigma * mu * Si - Xs) for Si, Xs in zip(Sinv, X)])
-            primal = _interior_step(X, dX, ratio_test(LX, dX))
+            dy_aff, dy_cen = solve_m(M, rhs).T
+            candidates = []
+            if gap > opts.gap_tol:
+                # the predictor (affine direction): its decrease picks the
+                # centring weight, and its second-order term corrects the
+                # corrector (Mehrotra, in the NT-scaled form of Todd, Toh
+                # and Tutuncu, 1998)
+                dX_a, dS_a = direction(dy_aff, [-Xs for Xs in X])
+                ap, ad = ratio_test(LX, dX_a), ratio_test(LS, dS_a)
+                trxs_a = blocks.total(
+                    [_dot(Xs + ap * dXs, Ss + ad * dSs) for Xs, dXs, Ss, dSs in zip(X, dX_a, S, dS_a)])
+                sigma = np.clip((max(trxs_a, 0.0) / trxs) ** 3, opts.min_sigma, opts.max_sigma)
+                C = [_second_order(Gs, Vs, dSs) for Gs, Vs, dSs in zip(G, V, dS_a)]
+                dy_c = solve_m(M, blocks.add_traces(np.zeros(m), C))
+                candidates = [corrector(sigma, dy_c, C), corrector(sigma)]
+            del M
+            # the centring direction keeps mu and only cuts the residuals:
+            # it is the step once the gap has closed, and the last resort.
+            # In exact arithmetic a step cuts the primal residual by the
+            # factor 1 - alpha, so a step that raises the primal
+            # infeasibility is ruled by rounding; the first direction whose
+            # step keeps it within max(pinf, feas_tol) is taken
+            candidates.append(corrector(opts.max_sigma))
+            for dy, Rc in candidates:
+                dS, primal, moved = primal_step(dy, Rc)
+                if not moved or moved[0] <= max(pinf, opts.feas_tol):
+                    break
             dual = _interior_step(S, dS, ratio_test(LS, dS))
             # a side that cannot move stays put for this iteration: the other
             # side's step changes the scaling, which often frees it again
@@ -431,6 +504,7 @@ def _solve_canonical(b, blocks: _Blocks, opts: SolveOptions, tau_mul: float, fra
                 return "numerical_failure", y, X, gap, pinf, dinf, it
             if primal is not None:
                 _, X, LX = primal
+                pinf, rp = moved
             if dual is not None:
                 ad, S, LS = dual
                 y = y + ad * dy
@@ -460,7 +534,8 @@ def solve(model: SdpModel, options: SolveOptions | None = None) -> SolveResult:
             attempts.append(Attempt(tau_mul, frac, "diverged", exc.iterations))
             continue
         attempts.append(Attempt(tau_mul, frac, out[0], out[6]))
-        if best is None or out[3] < best[3]:
+        # an optimal attempt wins over any earlier one, whatever its gap
+        if best is None or out[0] == "optimal" or out[3] < best[3]:
             best = out
         if out[0] == "optimal":
             break

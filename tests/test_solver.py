@@ -10,7 +10,10 @@ from tracelift.kernel import (
 )
 from tracelift.lieb import build_fidelity, build_kron_power, build_lieb, build_upsilon
 from tracelift.model import AffineBlock, LinearFunctional, ModelBuilder, realify
-from tracelift.solver import SolveOptions, _assemble, _Blocks, _chol, _nt_scaling, solve
+from tracelift import solver
+from tracelift.solver import (
+    SolveOptions, _assemble, _Blocks, _chol, _nt_scaling, _second_order, solve,
+)
 
 
 def scalar_var(b):
@@ -119,7 +122,8 @@ class TestDivergence:
 def nt_scaling(X, S):
     """_nt_scaling of one pair, as a stack of one."""
     (Lx, _), (Ls, _) = _chol([X[None], S[None]])
-    return _nt_scaling(X[None], S[None], Lx, Ls)[0]
+    W, _, _ = _nt_scaling(X[None], S[None], Lx, Ls)
+    return W[0]
 
 
 def singular_to_rounding(rng):
@@ -172,11 +176,116 @@ class TestNtScaling:
         Xs = np.stack([R[0] @ R[0].T + np.eye(4), X, R[1] @ R[1].T + np.eye(4)])
         Ss = np.stack([R[2] @ R[2].T + np.eye(4)] * 2 + [R[3] @ R[3].T + np.eye(4)])
         (Lx, _), (Ls, _) = _chol([Xs, Ss])
-        W = _nt_scaling(Xs, Ss, Lx, Ls)
+        W, _, _ = _nt_scaling(Xs, Ss, Lx, Ls)
         for k in range(3):
             assert np.array_equal(W[k], nt_scaling(Xs[k], Ss[k]))
             assert np.abs(W[k] @ Ss[k] @ W[k] - Xs[k]).max() <= 1e-6 * np.abs(Xs[k]).max()
         assert np.abs(W[1]).max() < 1e3
+
+
+def assert_factor(X, S, W, G, V):
+    """G G' = W and G' S G = diag(V) for every block, at 1e-12 of its scale."""
+    for Xk, Sk, Wk, Gk, Vk in zip(X, S, W, G, V):
+        assert np.abs(Gk @ Gk.T - Wk).max() <= 1e-12 * np.abs(Wk).max()
+        assert np.abs(Gk.T @ Sk @ Gk - np.diag(Vk)).max() <= 1e-12 * Vk.max()
+
+
+class TestScalingFactor:
+    def test_eigenvalue_formula(self, rng):
+        X, S = sym_stack(rng, 3, 5, shift=1.0), sym_stack(rng, 3, 5, shift=1.0)
+        (Lx, _), (Ls, _) = _chol([X, S])
+        assert_factor(X, S, *_nt_scaling(X, S, Lx, Ls))
+
+    def test_singular_to_rounding(self):
+        # the Cholesky/SVD fallback: only draws in which _nt_scaling's eigh
+        # does find an eigenvalue <= 0 take it
+        found = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            X = singular_to_rounding(rng)
+            if X is None or np.linalg.eigh(X)[0][0] > 0:
+                continue
+            found += 1
+            X, S = X[None], sym_stack(rng, 1, 4, shift=1.0)
+            (Lx, _), (Ls, _) = _chol([X, S])
+            assert_factor(X, S, *_nt_scaling(X, S, Lx, Ls))
+        assert found
+
+    def test_mixed_stack(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            X = singular_to_rounding(rng)
+            if X is not None and np.linalg.eigh(X)[0][0] <= 0:
+                break
+        Xs = sym_stack(rng, 3, 4, shift=1.0)
+        Xs[1] = X
+        Ss = sym_stack(rng, 3, 4, shift=1.0)
+        (Lx, _), (Ls, _) = _chol([Xs, Ss])
+        assert_factor(Xs, Ss, *_nt_scaling(Xs, Ss, Lx, Ls))
+
+
+class TestSecondOrder:
+    def test_scaled_affine_primal_step(self, rng):
+        # dX~ = G^-1 dX G^-T with dX = -X - W dS W, from an explicit inverse
+        # of G on a well-conditioned stack, is -diag(V) - G' dS G
+        X, S = sym_stack(rng, 3, 4, shift=1.0), sym_stack(rng, 3, 4, shift=1.0)
+        dS = sym_stack(rng, 3, 4)
+        (Lx, _), (Ls, _) = _chol([X, S])
+        W, G, V = _nt_scaling(X, S, Lx, Ls)
+        for Xk, Wk, Gk, Vk, dSk in zip(X, W, G, V, dS):
+            Gi = np.linalg.inv(Gk)
+            got = Gi @ (-Xk - Wk @ dSk @ Wk) @ Gi.T
+            want = -np.diag(Vk) - Gk.T @ dSk @ Gk
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_lyapunov_term(self, rng):
+        # G Z G' with Z from the Kronecker sum (diag(V) (+) diag(V)) vec Z =
+        # -vec(dX~ dS~ + dS~ dX~), dS~ = G' dS G and dX~ from an explicit
+        # inverse of G
+        X, S = sym_stack(rng, 3, 4, shift=1.0), sym_stack(rng, 3, 4, shift=1.0)
+        dS = sym_stack(rng, 3, 4)
+        (Lx, _), (Ls, _) = _chol([X, S])
+        W, G, V = _nt_scaling(X, S, Lx, Ls)
+        got = _second_order(G, V, dS)
+        for Xk, Wk, Gk, Vk, dSk, term in zip(X, W, G, V, dS, got):
+            Gi = np.linalg.inv(Gk)
+            dXt = Gi @ (-Xk - Wk @ dSk @ Wk) @ Gi.T
+            dSt = Gk.T @ dSk @ Gk
+            L = np.diag(Vk)
+            kron_sum = np.kron(L, np.eye(4)) + np.kron(np.eye(4), L)
+            Z = np.linalg.solve(kron_sum, -(dXt @ dSt + dSt @ dXt).ravel()).reshape(4, 4)
+            want = Gk @ Z @ Gk.T
+            assert np.abs(term - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def scripted_ladder(monkeypatch, outcomes):
+    """Make each rung of solve's ladder end as the next (status, gap,
+    iterations) of outcomes, whatever the model."""
+    script = iter(outcomes)
+
+    def scripted(b, blocks, opts, tau_mul, frac):
+        status, gap, iters = next(script)
+        return status, np.zeros(len(b)), [], gap, 0.0, 0.0, iters
+
+    monkeypatch.setattr(solver, "_solve_canonical", scripted)
+
+
+class TestLadder:
+    def test_optimal_attempt_wins(self, monkeypatch):
+        # a non-optimal first rung with a smaller gap must not hide an
+        # optimal later one
+        scripted_ladder(monkeypatch, [("numerical_failure", 1e-12, 179), ("optimal", 1e-9, 22)])
+        res = solve(lieb_two_thirds()[0])
+        assert (res.status, res.iterations, res.duality_gap) == ("optimal", 22, 1e-9)
+        assert [(a.outcome, a.iterations) for a in res.attempts] == [
+            ("numerical_failure", 179), ("optimal", 22)]
+
+    def test_least_gap_wins_without_optimal(self, monkeypatch):
+        scripted_ladder(monkeypatch, [("iteration_limit", 1e-6, 200), ("numerical_failure", 1e-7, 50),
+                                      ("iteration_limit", 1e-5, 200)])
+        res = solve(lieb_two_thirds()[0])
+        assert (res.status, res.iterations, res.duality_gap) == ("numerical_failure", 50, 1e-7)
+        assert res.objective is None
 
 
 class TestDeterminism:

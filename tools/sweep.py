@@ -9,10 +9,11 @@ each of seeds 0, 5 and 7 (600 solves).  Each (function, t, seed) draws its
 trials in turn from ``default_rng(seed)``, as ``tracelift verify --trials
 40`` does, and BLAS runs on one thread, because the thread count changes
 iteration counts.  Prints each non-optimal solve (each solve, with the
-iterations of every attempt, under ``--each``, so that the outputs of two
-versions can be compared with diff), then one line: the number of solves,
-how many were not optimal, the solver iterations summed over every attempt
-of the retry ladder (``SolveResult.attempts``) and the wall time.
+outcome and iterations of every attempt, under ``--each``, so that the
+outputs of two versions can be compared with diff), then one line: the
+number of solves, how many were not optimal, the solver iterations summed
+over every attempt of the retry ladder (``SolveResult.attempts``) and the
+wall time.
 ``--src`` imports tracelift from another checkout's src/ directory; for a
 version without ``attempts`` the iteration sum reads n/a.
 """
@@ -40,7 +41,7 @@ def main(argv=None):
     ap.add_argument("--real", action="store_true", help="draw real data instead of complex")
     ap.add_argument("--n", type=int, default=2, help="matrix size (default: 2)")
     ap.add_argument("--each", action="store_true",
-                    help="print every solve with the iterations of each attempt")
+                    help="print every solve with the outcome and iterations of each attempt")
     args = ap.parse_args(argv)
     sys.path.insert(0, args.src)
     import numpy as np
@@ -62,7 +63,8 @@ def main(argv=None):
                 failed += not res.ok
                 attempts = getattr(res, "attempts", None)
                 if args.each:
-                    per = "n/a" if attempts is None else [a.iterations for a in attempts]
+                    per = "n/a" if attempts is None else " ".join(
+                        f"{a.outcome}:{a.iterations}" for a in attempts)
                     print(f"{fn} t={t} seed={seed} trial={trial}: {res.status} {per}")
                 elif not res.ok:
                     print(f"{fn} t={t} seed={seed} trial={trial}: {res.status}")
