@@ -18,16 +18,17 @@ from .geomean import (
     CensusReport,
     Construction,
     GeoMeanTask,
-    build_base_half,
-    build_dyadic,
-    build_epi,
     build_geomean,
-    build_hyp,
-    build_pow2_numerator,
     lmi_census_audit,
-    witness,
 )
-from .instances import haar_unitary, random_density, random_matrix, random_pd
+from .instances import (
+    FUNCTIONS,
+    Function,
+    haar_unitary,
+    random_density,
+    random_matrix,
+    random_pd,
+)
 from .kernel import (
     HermitianMatrix,
     RationalExponent,

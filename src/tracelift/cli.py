@@ -15,39 +15,18 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IoError, TraceliftError
-from .geomean import GeoMeanTask, build_geomean, lmi_census_audit
-from .instances import random_matrix, random_pd
-from .kernel import (
-    RationalExponent,
-    fidelity_value,
-    geometric_mean,
-    herm_power,
-    hermitize,
-    kron,
-    lieb_value,
-    tsallis_entropy,
-    tsallis_rel_entropy,
-    upsilon_value,
-)
-from .lieb import (
-    build_fidelity,
-    build_kron_power,
-    build_lieb,
-    build_multivariate,
-    build_tsallis_entropy,
-    build_tsallis_rel_entropy,
-    build_upsilon,
-    fidelity_witness,
-    upsilon_equality_witness,
-)
+from .geomean import lmi_census_audit
+from .instances import FUNCTIONS
+from .kernel import RationalExponent, hermitize
 from .model import check_feasible, realify
 from .sdpa import export_sdpa
 from .solver import solve
 
-FUNCTIONS = (
-    "geomean", "lieb", "kron_power", "multivariate",
-    "tsallis", "tsallis_rel", "upsilon", "fidelity",
-)
+_PARSE = {
+    "t": RationalExponent.parse,
+    "s": RationalExponent.parse,
+    "weights": lambda text: [Fraction(w) for w in text.split(",")],
+}
 
 
 def load_matrix(path, hermitian: bool = True) -> np.ndarray:
@@ -93,108 +72,33 @@ def census_string(model) -> str:
     return ", ".join(parts)
 
 
-class _Instance:
-    """Resolved inputs for one function: data matrices plus exponents."""
-
-    def __init__(self, args, rng=None):
-        self.fn = args.function
-        self.t = RationalExponent.parse(args.t) if args.t is not None else None
-        self.s = RationalExponent.parse(args.s) if getattr(args, "s", None) else None
-        if self.t is None and self.fn not in ("fidelity", "multivariate"):
-            raise TraceliftError(f"{self.fn} requires --t")
-        if self.fn == "kron_power" and self.s is None:
-            raise TraceliftError("kron_power requires --s")
-        self.weights = None
-        if getattr(args, "weights", None):
-            self.weights = [Fraction(w) for w in args.weights.split(",")]
-        n = args.n
-        cx = args.complex
-
-        def mat(path, herm=True, rand=lambda: random_pd(n, rng, cx)):
-            if path is not None:
-                return load_matrix(path, hermitian=herm)
-            return rand()
-
-        self.A = self.B = self.K = self.mats = None
-        if self.fn in ("geomean", "kron_power", "tsallis_rel", "fidelity"):
-            self.A = mat(args.A)
-            self.B = mat(args.B)
-        elif self.fn == "tsallis":
-            self.A = mat(args.A)
-        elif self.fn == "lieb":
-            self.A = mat(args.A)
-            self.B = mat(args.B)
-            m = self.B.shape[0]
-            self.K = mat(args.K, herm=False,
-                         rand=lambda: random_matrix(self.A.shape[0], m, rng, cx))
-        elif self.fn == "upsilon":
-            self.A = mat(args.A)
-            self.K = mat(args.K, herm=False,
-                         rand=lambda: random_matrix(self.A.shape[0], n, rng, cx))
-        elif self.fn == "multivariate":
-            if self.weights is None:
-                raise TraceliftError("multivariate requires --weights")
-            if args.mats:
-                self.mats = [load_matrix(p) for p in args.mats.split(",")]
-            else:
-                if rng is None:
-                    raise TraceliftError("--mats: matrix files required")
-                self.mats = [random_pd(n, rng, cx) for _ in self.weights]
-
-    def oracle(self) -> float:
-        if self.fn == "geomean":
-            return np.trace(geometric_mean(self.A, self.B, float(self.t))).real
-        if self.fn == "lieb":
-            return lieb_value(self.K, self.A, self.B, float(self.t))
-        if self.fn == "kron_power":
-            return np.trace(
-                kron(herm_power(self.A, float(self.s)), herm_power(self.B, float(self.t)))
-            ).real
-        if self.fn == "multivariate":
-            M = herm_power(self.mats[0], float(self.weights[0]))
-            for Ai, wi in zip(self.mats[1:], self.weights[1:]):
-                M = kron(M, herm_power(Ai, float(wi)))
-            return np.trace(M).real
-        if self.fn == "tsallis":
-            return tsallis_entropy(self.A, float(self.t))
-        if self.fn == "tsallis_rel":
-            return tsallis_rel_entropy(self.A, self.B, float(self.t))
-        if self.fn == "upsilon":
-            return upsilon_value(self.K, self.A, float(self.t))
-        return fidelity_value(self.A, self.B)
-
-    def build(self):
-        if self.fn == "geomean":
-            return build_geomean(
-                GeoMeanTask(t=self.t, n=self.A.shape[0], A=self.A, B=self.B)
-            )
-        if self.fn == "lieb":
-            return build_lieb(self.K, self.A, self.B, self.t)
-        if self.fn == "kron_power":
-            return build_kron_power(self.A, self.B, self.s, self.t)
-        if self.fn == "multivariate":
-            return build_multivariate(self.mats, self.weights)
-        if self.fn == "tsallis":
-            return build_tsallis_entropy(self.A, self.t)
-        if self.fn == "tsallis_rel":
-            return build_tsallis_rel_entropy(self.A, self.B, self.t)
-        if self.fn == "upsilon":
-            return build_upsilon(self.K, self.A, self.t)
-        return build_fidelity(self.A, self.B)
-
-    def witness(self, con):
-        if self.fn == "fidelity":
-            return fidelity_witness(self.A, self.B, con)
-        if self.fn == "upsilon":
-            return upsilon_equality_witness(self.K, self.A, self.t, con)
-        return con.make_witness()
+def _spec(args):
+    """The table entry named by ``args``, the parameters given (each one
+    parsed, used or not), and the data matrices read from files, checked
+    once before any instance is drawn."""
+    fn = FUNCTIONS[args.function]
+    p = {}
+    for name, parse in _PARSE.items():
+        text = getattr(args, name)
+        if text is not None:
+            p[name] = parse(text)
+        elif name in fn.params:
+            raise TraceliftError(f"{args.function} requires --{name}")
+    given = {}
+    for slot in fn.slots:
+        path = getattr(args, slot)
+        if path is not None and slot == "mats":
+            given[slot] = [load_matrix(q) for q in path.split(",")]
+        elif path is not None:
+            given[slot] = load_matrix(path, hermitian=slot in fn.hermitian)
+    fn.check(p, given)
+    return fn, p, given
 
 
 def cmd_emit(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    inst = _Instance(args, rng)
-    con = inst.build()
-    real_model, _ = realify(con.model)
+    fn, p, given = _spec(args)
+    data = fn.draw(p, args.n, np.random.default_rng(args.seed), args.complex, given)
+    real_model, _ = realify(fn.build(data, p).model)
     export_sdpa(real_model, args.out)
     print(f"wrote {args.out}")
     print(f"census: {census_string(real_model)}")
@@ -202,34 +106,32 @@ def cmd_emit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    inst = _Instance(args, rng)
-    print(f"{inst.oracle():.12g}")
+    fn, p, given = _spec(args)
+    data = fn.draw(p, args.n, np.random.default_rng(args.seed), args.complex, given)
+    print(f"{fn.oracle(data, p):.12g}")
     return 0
 
 
 def cmd_verify(args) -> int:
+    fn, p, given = _spec(args)
     rng = np.random.default_rng(args.seed)
     header = f"{'trial':>5} {'witness':>8} {'rel.err':>10} {'census':>7} {'result':>7}"
     print(header)
     all_ok = True
     for trial in range(args.trials):
-        inst = _Instance(args, rng)
-        con = inst.build()
-        wit = inst.witness(con)
+        data = fn.draw(p, args.n, rng, args.complex, given)
+        con = fn.build(data, p)
+        wit = fn.witness(data, p, con)
         feas = check_feasible(con.model, wit, tol=1e-9).ok
         res = solve(con.model)
-        oracle = inst.oracle()
+        oracle = fn.oracle(data, p)
         if res.objective is None:
             rel = np.inf
         else:
             rel = abs(res.objective / con.report_divisor - oracle) / (1 + abs(oracle))
-        if inst.fn == "geomean":
-            census_ok = lmi_census_audit(inst.t, inst.A.shape[0]).ok
-            census_txt = "ok" if census_ok else "FAIL"
-        else:
-            census_ok, census_txt = True, "-"
-        ok = feas and census_ok and rel <= 1e-6
+        audit = lmi_census_audit(p["t"], data["A"].shape[0]).ok if args.function == "geomean" else None
+        census_txt = {None: "-", True: "ok", False: "FAIL"}[audit]
+        ok = feas and audit is not False and rel <= 1e-6
         all_ok = all_ok and ok
         print(
             f"{trial:>5} {'ok' if feas else 'FAIL':>8} {rel:>10.2e} "
@@ -258,6 +160,13 @@ def cmd_count(args) -> int:
     return 0 if all_ok else 1
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracelift",
@@ -274,7 +183,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--t", help="rational exponent p/q")
         p.add_argument("--s", help="second exponent for kron_power")
         p.add_argument("--weights", help="comma-separated weights for multivariate")
-        p.add_argument("--n", type=int, default=2, help="dimension for random data")
+        p.add_argument("--n", type=positive_int, default=2, help="dimension for random data")
         p.add_argument("--A", help="JSON matrix file")
         p.add_argument("--B", help="JSON matrix file")
         p.add_argument("--K", help="JSON matrix file (not Hermitian)")
@@ -293,7 +202,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="witness/solver/census checks on random instances")
     add_spec(p_verify)
-    p_verify.add_argument("--trials", type=int, default=10)
+    p_verify.add_argument("--trials", type=positive_int, default=10)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_count = sub.add_parser("count", help="tabulate LMI census against the size bounds")

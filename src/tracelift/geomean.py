@@ -227,7 +227,13 @@ class GeoMeanTask:
         return "epi"
 
 
-def _task_slots(b: ModelBuilder, task: GeoMeanTask):
+def build_geomean(task: GeoMeanTask) -> Construction:
+    """The construction of the task's resolved mode: the hypograph for t in
+    [0, 1], the epigraph for t in [-1,0] u [1,2]."""
+    mode = task.resolved_mode()
+    emit = _emit_hyp if mode == "hyp" else _emit_epi
+    b = ModelBuilder()
+
     def slot(role, name):
         if role is None:
             return AffineBlock.of_var(b.fresh_var(name, task.n))
@@ -235,87 +241,19 @@ def _task_slots(b: ModelBuilder, task: GeoMeanTask):
         b.add_data(name, M)
         return AffineBlock.constant(M)
 
-    return slot(task.A, "A"), slot(task.B, "B")
-
-
-def _finish(b: ModelBuilder, task: GeoMeanTask, Tvar, mode: str) -> Construction:
-    if Tvar is not None:
+    A, B = slot(task.A, "A"), slot(task.B, "B")
+    Tvar = None
+    if task.T is None:
+        Tvar = emit(b, A, B, None, task.t.fraction).terms[0].var
         sense = "maximize" if mode == "hyp" else "minimize"
         b.set_objective(sense, LinearFunctional(0.0, [(Tvar, np.eye(task.n))]))
-    return Construction(
-        model=b.freeze(),
-        target=Tvar,
-        recipes=list(b.recipes),
-        mode=mode,
-        t=task.t.fraction,
-        dim=task.n,
-    )
-
-
-def _build(task: GeoMeanTask, emitter) -> Construction:
-    b = ModelBuilder()
-    A, B = _task_slots(b, task)
-    mode = task.resolved_mode()
-    if task.T is None:
-        T = emitter(b, A, B, None, task.t.fraction)
-        Tvar = T.terms[0].var
     else:
         b.add_data("T", hermitize(task.T))
-        emitter(b, A, B, AffineBlock.constant(hermitize(task.T)), task.t.fraction)
-        Tvar = None
-    return _finish(b, task, Tvar, mode)
-
-
-def build_base_half(task: GeoMeanTask) -> Construction:
-    """Single Schur-complement LMI for t = 1/2."""
-    if task.t.fraction != Fraction(1, 2):
-        raise WrongExponent(f"base case requires t = 1/2, got {task.t}")
-    return _build(task, _emit_dyadic)
-
-
-def build_dyadic(task: GeoMeanTask) -> Construction:
-    """Binary-expansion chain for t = p/2^l, p odd, t in (0,1)."""
-    t = task.t.fraction
-    if not (0 < t < 1 and is_power_of_two(t.denominator)):
-        raise WrongExponent(f"dyadic case requires t = p/2^l in (0,1), got {t}")
-    return _build(task, _emit_dyadic)
-
-
-def build_pow2_numerator(task: GeoMeanTask) -> Construction:
-    """Reduction for t = 2^l/q in [1/2, 1]."""
-    t = task.t.fraction
-    if not (Fraction(1, 2) <= t < 1 and is_power_of_two(t.numerator)):
-        raise WrongExponent(f"requires t = 2^l/q in [1/2,1), got {t}")
-    return _build(task, _emit_pow2_numerator)
-
-
-def build_hyp(task: GeoMeanTask) -> Construction:
-    """Hypograph construction for any rational t in [0, 1]."""
-    if not task.t.concave_range:
-        raise WrongExponent(f"t={task.t} is not in [0,1]")
-    return _build(task, _emit_hyp)
-
-
-def build_epi(task: GeoMeanTask) -> Construction:
-    """Epigraph construction for rational t in [-1,0] u [1,2]."""
-    if not task.t.convex_range:
-        raise WrongExponent(f"t={task.t} is not in [-1,0] u [1,2]")
-    return _build(task, _emit_epi)
-
-
-def build_geomean(task: GeoMeanTask) -> Construction:
-    """Dispatch on the task's mode."""
-    return build_hyp(task) if task.resolved_mode() == "hyp" else build_epi(task)
-
-
-def witness(A, B, construction: Construction, base: dict | None = None) -> WitnessAssignment:
-    """Proof-derived witness for a construction built from data (A, B).
-
-    When the construction has free A/B slots their values must be in
-    ``base`` keyed by the corresponding variables.
-    """
-    del A, B  # data is baked into the construction's recipe blocks
-    return construction.make_witness(base)
+        emit(b, A, B, AffineBlock.constant(hermitize(task.T)), task.t.fraction)
+    return Construction(
+        model=b.freeze(), target=Tvar, recipes=list(b.recipes),
+        mode=mode, t=task.t.fraction, dim=task.n,
+    )
 
 
 # ---------------------------------------------------------------------------

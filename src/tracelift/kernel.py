@@ -1,8 +1,8 @@
 """Dense Hermitian linear algebra and the numerical reference oracles.
 
 Everything here works on plain complex numpy arrays.  ``HermitianMatrix``
-is a thin validated wrapper used at API boundaries (JSON input, model
-data); the oracles accept either the wrapper or a raw array.
+is a thin validated wrapper; the oracles accept either the wrapper or a
+raw array.
 
 All fractional powers go through an eigendecomposition; ``pd_tol`` is
 relative to the largest eigenvalue magnitude.
@@ -10,7 +10,6 @@ relative to the largest eigenvalue magnitude.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +18,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DomainError,
-    IoError,
     NotPositiveDefinite,
 )
 
@@ -62,10 +60,6 @@ class HermitianMatrix:
             raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
         object.__setattr__(self, "mat", (M + M.conj().T) / 2)
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
     def min_eig(self) -> float:
         return float(np.linalg.eigvalsh(self.mat)[0])
 
@@ -74,34 +68,6 @@ class HermitianMatrix:
 
     def is_pd(self, tol: float = PD_TOL) -> bool:
         return self.min_eig() >= tol
-
-    @classmethod
-    def from_json(cls, doc) -> "HermitianMatrix":
-        """Build from ``{"dim": n, "re": [[...]], "im": [[...]]}``.
-
-        ``im`` is optional and defaults to zero.  ``doc`` may be a dict,
-        a JSON string or a file path.
-        """
-        if isinstance(doc, str):
-            try:
-                with open(doc) as fh:
-                    doc = json.load(fh)
-            except OSError as exc:
-                raise IoError(str(exc)) from exc
-        n = int(doc["dim"])
-        re = np.asarray(doc["re"], dtype=float)
-        im = np.asarray(doc.get("im", np.zeros((n, n))), dtype=float)
-        if re.shape != (n, n) or im.shape != (n, n):
-            raise DimensionMismatch(
-                f"matrix entries do not match declared dim {n}: {re.shape}, {im.shape}"
-            )
-        return cls(re + 1j * im)
-
-    def to_json(self) -> dict:
-        doc = {"dim": self.dim, "re": self.mat.real.tolist()}
-        if np.any(self.mat.imag != 0):
-            doc["im"] = self.mat.imag.tolist()
-        return doc
 
 
 @dataclass(frozen=True)
@@ -132,10 +98,6 @@ class RationalExponent:
         except ValueError:
             pass
         raise DomainError(f"cannot parse rational exponent {text!r} (use p/q)")
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "RationalExponent":
-        return cls(f.numerator, f.denominator)
 
     @property
     def fraction(self) -> Fraction:

@@ -24,7 +24,6 @@ from .errors import DimensionMismatch, DomainError, WrongExponent
 from .geomean import Construction, _as_fraction, _emit_epi, _emit_hyp
 from .kernel import (
     RationalExponent,
-    fidelity_value,
     herm_power,
     hermitize,
     kron,
@@ -155,10 +154,7 @@ def build_multivariate(mats, weights) -> Construction:
     eliminated left to right, one lifted geodesic per step.
     """
     weights = [_as_fraction(w) for w in weights]
-    if len(mats) != len(weights) or len(mats) < 2:
-        raise DomainError("need k >= 2 matrices with matching weights")
-    if any(w < 0 for w in weights) or sum(weights) != 1:
-        raise WrongExponent(f"weights must be nonnegative and sum to 1, got {weights}")
+    _check_weights(weights, len(mats))
     b = ModelBuilder()
     mats = [_pd_data(b, f"A{i + 1}", M) for i, M in enumerate(mats)]
     dims = [M.shape[0] for M in mats]
@@ -181,6 +177,14 @@ def build_multivariate(mats, weights) -> Construction:
         model=b.freeze(), target=Tvar, recipes=list(b.recipes),
         mode="hyp", t=weights[-1], dim=d,
     )
+
+
+def _check_weights(weights, k: int):
+    """Raise unless there are k >= 2 weights, nonnegative and summing to 1."""
+    if len(weights) != k or k < 2:
+        raise DomainError("need k >= 2 matrices with matching weights")
+    if any(w < 0 for w in weights) or sum(weights) != 1:
+        raise WrongExponent(f"weights must be nonnegative and sum to 1, got {weights}")
 
 
 def _lift_block_left(blk: AffineBlock, m: int) -> AffineBlock:
@@ -307,12 +311,10 @@ def build_upsilon(K, A, t: RationalExponent) -> Construction:
         b.set_objective("minimize", LinearFunctional(0.0, [(tau, np.eye(1))]))
     b.add_scalar(f, label="pinch")
     b.add_recipe(tau, "scalar_tight", f)
-    con = Construction(
+    return Construction(
         model=b.freeze(), target=Tvar, recipes=list(b.recipes),
-        mode=mode, t=t, dim=n * m, aux=aux,
+        mode=mode, t=t, dim=n * m, aux=aux, report_divisor=float(t),
     )
-    con.report_divisor = float(t)
-    return con
 
 
 def upsilon_equality_witness(K, A, t, construction: Construction) -> WitnessAssignment:
@@ -369,7 +371,3 @@ def fidelity_witness(A, B, construction: Construction) -> WitnessAssignment:
         construction.aux["H"]: hermitize((Z + Z.conj().T) / 2),
         construction.aux["G"]: hermitize((Z - Z.conj().T) / 2j),
     })
-
-
-def fidelity_optimum(A, B) -> float:
-    return fidelity_value(A, B)

@@ -265,10 +265,6 @@ class AffineBlock:
         t = VarTerm(var, coeff, **kw)
         return cls(t.dim, [t])
 
-    @classmethod
-    def zero(cls, dim: int) -> "AffineBlock":
-        return cls(dim, [])
-
     def evaluate(self, assignment) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for t in self.terms:
@@ -378,19 +374,13 @@ class LinearFunctional:
     def vars(self) -> set:
         return {v for v, _ in self.terms}
 
-    def scaled(self, c: float) -> "LinearFunctional":
-        return LinearFunctional(
-            c * self.constant, [(v, c * M) for v, M in self.terms]
-        )
-
 
 class ScalarConstraint:
     """Scalar linear constraint, normalized internally to f(x) >= 0."""
 
-    def __init__(self, functional: LinearFunctional, label: str = "", sense: str = ">="):
+    def __init__(self, functional: LinearFunctional, label: str = ""):
         self.functional = functional
         self.label = label
-        self.sense = sense  # display only; functional is already >= 0 form
 
     def slack(self, assignment) -> float:
         return self.functional.evaluate(assignment)
@@ -434,17 +424,9 @@ class SdpModel:
         self.objective = objective
         self.data = dict(data or {})
         self.realified = realified
-        self._frozen = True
         idx = [v.index for v in self.vars]
         if len(set(idx)) != len(idx):
             raise TraceliftError("variable indices must be unique")
-
-    def freeze(self) -> "SdpModel":
-        return self
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     def coord_offsets(self):
         """First real coordinate of each variable, and the coordinate count."""
@@ -464,12 +446,6 @@ class SdpModel:
     @property
     def scalar_count(self) -> int:
         return len(self.scalars)
-
-    def var_by_name(self, name: str) -> VarId:
-        for v in self.vars:
-            if v.name == name:
-                return v
-        raise KeyError(name)
 
     def require_objective(self) -> Objective:
         if self.objective is None:
@@ -500,19 +476,15 @@ class ModelBuilder:
         self._vars.append(var)
         return var
 
-    def add_lmi(self, grid, label: str = "") -> LmiConstraint:
-        lmi = LmiConstraint(grid, label)
-        self._lmis.append(lmi)
-        return lmi
+    def add_lmi(self, grid, label: str = ""):
+        self._lmis.append(LmiConstraint(grid, label))
 
     def add_lmi2(self, p: AffineBlock, z: AffineBlock, q: AffineBlock, label: str = ""):
         """[[p, z], [z*, q]] >= 0."""
-        return self.add_lmi([[p, z], [z.adjoint(), q]], label)
+        self.add_lmi([[p, z], [z.adjoint(), q]], label)
 
-    def add_scalar(self, functional: LinearFunctional, label: str = "", sense: str = ">="):
-        c = ScalarConstraint(functional, label, sense)
-        self._scalars.append(c)
-        return c
+    def add_scalar(self, functional: LinearFunctional, label: str = ""):
+        self._scalars.append(ScalarConstraint(functional, label))
 
     def set_objective(self, sense: str, functional: LinearFunctional):
         self._objective = Objective(sense, functional)
@@ -551,15 +523,6 @@ class ConstraintCheck:
 class FeasibilityReport:
     ok: bool
     checks: list = field(default_factory=list)
-
-    def __str__(self):
-        lines = [
-            f"{'OK ' if c.ok else 'BAD'} {c.kind:6s} {c.label:24s} "
-            f"min={c.value: .3e} thr={-c.threshold: .1e}"
-            for c in self.checks
-        ]
-        lines.append("feasible" if self.ok else "infeasible")
-        return "\n".join(lines)
 
 
 def check_feasible(model: SdpModel, witness, tol: float = 1e-9) -> FeasibilityReport:
@@ -644,7 +607,9 @@ def realify(model: SdpModel, force_embed: bool = False):
     re-tags variables as real symmetric.  Otherwise every complex
     Hermitian object of dimension d is embedded as the real symmetric
     2d x 2d matrix [[Re, -Im], [Im, Re]]; trace functionals pick up a
-    factor 1/2 so optimal values are unchanged.
+    factor 1/2 so optimal values are unchanged.  Variables of dimension 1
+    or of kind ``real`` stay real symmetric of their own dimension; their
+    terms still map into the embedded blocks.
 
     Returns ``(realified_model, var_map)`` with ``var_map`` mapping each
     original variable to its realified counterpart.
@@ -655,9 +620,7 @@ def realify(model: SdpModel, force_embed: bool = False):
     embed = force_embed or not model_is_real(model)
     var_map = {}
     for v in model.vars:
-        if v.dim == 1:
-            var_map[v] = VarId(v.index, 1, v.name, "real")
-        elif embed:
+        if embed and v.dim > 1 and v.kind != "real":
             var_map[v] = VarId(v.index, 2 * v.dim, v.name, "phi")
         else:
             var_map[v] = VarId(v.index, v.dim, v.name, "real")
@@ -693,14 +656,14 @@ def realify(model: SdpModel, force_embed: bool = False):
         terms = []
         for v, M in f.terms:
             nv = var_map[v]
-            if not embed or v.dim == 1:
+            if nv.kind == "real":
                 terms.append((nv, M.real.astype(complex)))
             else:
                 terms.append((nv, 0.5 * phi(M)))
         return LinearFunctional(f.constant, terms)
 
     scalars = [
-        ScalarConstraint(map_functional(sc.functional), sc.label, sc.sense)
+        ScalarConstraint(map_functional(sc.functional), sc.label)
         for sc in model.scalars
     ]
     objective = None

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tracelift.geomean import GeoMeanTask, build_geomean, lmi_census_audit, witness
+from tracelift.geomean import GeoMeanTask, build_geomean, lmi_census_audit
 from tracelift.instances import random_density, random_matrix, random_pd
 from tracelift.kernel import (
     RationalExponent,
@@ -188,7 +188,7 @@ def test_criterion_3_geomean_exactness(capsys, geo_instances):
 def test_criterion_4_witness_feasibility(capsys, geo_instances):
     fails = []
     for texp, A, B, con in geo_instances:
-        wit = witness(A, B, con)
+        wit = con.make_witness()
         if not check_feasible(con.model, wit, tol=1e-9).ok:
             fails.append(f"t={texp.fraction} n={A.shape[0]}")
     announce(capsys, 4, not fails,

@@ -6,7 +6,19 @@ import numpy as np
 import pytest
 
 from tracelift.cli import main, save_matrix
-from tracelift.instances import random_pd
+from tracelift.instances import FUNCTIONS, random_pd
+
+# the parameters each function needs, as command-line arguments
+PARAMS = {
+    "geomean": ["--t", "1/2"],
+    "lieb": ["--t", "1/2"],
+    "kron_power": ["--s", "1/3", "--t", "1/2"],
+    "multivariate": ["--weights", "1/2,1/4,1/4"],
+    "tsallis": ["--t", "1/2"],
+    "tsallis_rel": ["--t", "1/4"],
+    "upsilon": ["--t", "1/2"],
+    "fidelity": [],
+}
 
 
 @pytest.fixture
@@ -130,3 +142,43 @@ class TestMalformedMatrixFile:
         rc = main(["eval", "--function", "lieb", "--t", "1/2", "--A", diag_files[0],
                    "--B", str(B), "--K", str(K)])
         assert rc == 0
+
+
+class TestFunctionTable:
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    def test_entry_is_wired(self, name, tmp_path, capsys):
+        params = PARAMS[name]
+        assert set(params[::2]) == {f"--{p}" for p in FUNCTIONS[name].params}
+        assert main(["eval", "--function", name, "--n", "2", *params]) == 0
+        assert np.isfinite(float(capsys.readouterr().out))
+        out = tmp_path / "m.dat-s"
+        assert main(["emit", "--function", name, "--n", "2", "--out", str(out), *params]) == 0
+        assert out.exists()
+        for i in range(0, len(params), 2):
+            left_out = params[:i] + params[i + 2:]
+            assert main(["eval", "--function", name, "--n", "2", *left_out]) == 2
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("extra", [
+        ["eval", "--n", "0"], ["eval", "--n", "-1"],
+        ["verify", "--trials", "0"], ["verify", "--trials", "-1"],
+    ], ids=["n=0", "n=-1", "trials=0", "trials=-1"])
+    def test_counts_below_one_exit_2(self, extra, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([extra[0], "--function", "geomean", "--t", "1/2", *extra[1:]])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "emit", "verify"])
+    @pytest.mark.parametrize("weights, files", [
+        ("1/2,1/4,1/4", True), ("1/2,1/2,1/2", True), ("1/2,1/2,1/2", False), ("3/2,-1/2", False),
+    ], ids=["count", "count-and-sum", "sum", "negative"])
+    def test_multivariate_weights_exit_2(self, command, weights, files, diag_files, tmp_path, capsys):
+        extra = {"eval": [], "emit": ["--out", str(tmp_path / "m.dat-s")],
+                 "verify": ["--trials", "1"]}[command]
+        argv = [command, "--function", "multivariate", "--weights", weights, *extra]
+        if files:
+            argv += ["--mats", ",".join(diag_files)]
+        assert main(argv) == 2
+        assert "weights" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tracelift.errors import WrongExponent
-from tracelift.geomean import GeoMeanTask, build_geomean, lmi_census_audit, witness
+from tracelift.geomean import GeoMeanTask, build_geomean, lmi_census_audit
 from tracelift.instances import random_pd
 from tracelift.kernel import RationalExponent, geometric_mean
 from tracelift.model import check_feasible
@@ -75,7 +75,7 @@ class TestWitness:
         texp = RationalExponent.parse(t)
         A, B = random_pd(3, rng), random_pd(3, rng)
         con = build_geomean(GeoMeanTask(texp, 3, A=A, B=B))
-        wit = witness(A, B, con)
+        wit = con.make_witness()
         assert check_feasible(con.model, wit, tol=1e-9).ok
         got = con.model.objective.functional.evaluate(wit)
         want = np.trace(geometric_mean(A, B, texp.fraction)).real
@@ -102,8 +102,8 @@ class TestDatumTarget:
         A, B = random_pd(2, rng), random_pd(2, rng)
         G = geometric_mean(A, B, 1 / 3)
         con = build_geomean(GeoMeanTask(texp, 2, A=A, B=B, T=G))
-        wit = witness(A, B, con)
+        wit = con.make_witness()
         assert check_feasible(con.model, wit, tol=1e-9).ok
         con_bad = build_geomean(GeoMeanTask(texp, 2, A=A, B=B, T=G + 0.1 * np.eye(2)))
-        wit_bad = witness(A, B, con_bad)
+        wit_bad = con_bad.make_witness()
         assert not check_feasible(con_bad.model, wit_bad, tol=1e-9).ok

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracelift.cli import load_matrix, save_matrix
 from tracelift.errors import DomainError, NotPositiveDefinite
 from tracelift.instances import random_density, random_matrix, random_pd
 from tracelift.kernel import (
@@ -216,10 +217,11 @@ class TestFidelity:
 
 
 class TestHermitianMatrix:
-    def test_json_round_trip(self, rng):
+    def test_json_round_trip(self, rng, tmp_path):
         A = random_pd(3, rng)
         H = HermitianMatrix(A)
-        H2 = HermitianMatrix.from_json(H.to_json())
+        save_matrix(H.mat, tmp_path / "H.json")
+        H2 = HermitianMatrix(load_matrix(tmp_path / "H.json"))
         assert np.abs(H2.mat - A).max() < 1e-15
 
     def test_pd_flags(self):

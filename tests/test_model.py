@@ -5,6 +5,7 @@ import pytest
 
 from tracelift.errors import MissingAssignment, NoObjective
 from tracelift.instances import random_pd
+from tracelift.solver import _assemble, solve
 from tracelift.model import (
     AffineBlock,
     LinearFunctional,
@@ -128,6 +129,32 @@ class TestRealify:
         v1 = model.objective.functional.evaluate(wit)
         v2 = rm.objective.functional.evaluate(embedded)
         assert abs(v1 - v2) < 1e-10
+
+    def test_real_variable_in_complex_model(self, rng):
+        # a real symmetric T of dimension 2 next to complex data stays a
+        # real variable with 3 coordinates, and a complex objective
+        # coefficient acts on it through its real part
+        A, B = random_pd(2, rng), random_pd(2, rng)
+        b = ModelBuilder()
+        T = b.fresh_var("T", 2, kind="real")
+        b.add_lmi2(AffineBlock.constant(A), AffineBlock.of_var(T), AffineBlock.constant(B))
+        C = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+        b.set_objective("maximize", LinearFunctional(0.0, [(T, C)]))
+        model = b.freeze()
+        rm, var_map = realify(model)
+        assert (var_map[T].dim, var_map[T].kind) == (2, "real")
+        _assemble(rm)
+        res = solve(model)
+        assert res.ok
+        wit = WitnessAssignment({T: res.var_values[T].real})
+        embedded = embed_witness(var_map, wit)
+        assert check_feasible(rm, embedded, tol=1e-9).ok
+        # the realified LMI is phi of the original one up to a permutation
+        want = np.repeat(np.linalg.eigvalsh(model.lmis[0].assemble(wit)), 2)
+        assert np.allclose(np.linalg.eigvalsh(rm.lmis[0].assemble(embedded)), want)
+        v1 = model.objective.functional.evaluate(wit)
+        assert abs(rm.objective.functional.evaluate(embedded) - v1) < 1e-12
+        assert abs(res.objective - v1) < 1e-12
 
     def test_realify_idempotent(self, pd_pair):
         A, B = pd_pair

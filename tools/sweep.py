@@ -14,8 +14,9 @@ outputs of two versions can be compared with diff), then one line: the
 number of solves, how many were not optimal, the solver iterations summed
 over every attempt of the retry ladder (``SolveResult.attempts``) and the
 wall time.
-``--src`` imports tracelift from another checkout's src/ directory; for a
-version without ``attempts`` the iteration sum reads n/a.
+``--src`` imports tracelift from another checkout's src/ directory, which
+must export the ``FUNCTIONS`` table; for a version without ``attempts`` the
+iteration sum reads n/a.
 """
 
 import os
@@ -45,20 +46,17 @@ def main(argv=None):
     args = ap.parse_args(argv)
     sys.path.insert(0, args.src)
     import numpy as np
-    from tracelift import solve
-    from tracelift.cli import _Instance, make_parser
+    from tracelift import FUNCTIONS, RationalExponent, solve
 
-    parser = make_parser()
     solves = failed = 0
     iters = 0  # None once a result has no attempts log
     start = time.perf_counter()
     for fn, t in HARD_SET:
-        spec = parser.parse_args(["verify", "--function", fn, "--t", t, "--n", str(args.n)]
-                                 + ([] if args.real else ["--complex"]))
+        entry, p = FUNCTIONS[fn], {"t": RationalExponent.parse(t)}
         for seed in SEEDS:
             rng = np.random.default_rng(seed)
             for trial in range(TRIALS):
-                res = solve(_Instance(spec, rng).build().model)
+                res = solve(entry.build(entry.draw(p, args.n, rng, not args.real), p).model)
                 solves += 1
                 failed += not res.ok
                 attempts = getattr(res, "attempts", None)
