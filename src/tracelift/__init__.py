@@ -30,7 +30,6 @@ from .instances import (
     random_pd,
 )
 from .kernel import (
-    HermitianMatrix,
     RationalExponent,
     fidelity_value,
     geometric_mean,

@@ -48,6 +48,8 @@ def load_matrix(path, hermitian: bool = True) -> np.ndarray:
         shape = "square " if hermitian else ""
         raise IoError(f"matrix file {path}: re {real.shape} and im {imag.shape} "
                       f"must be {shape}matrices of one shape")
+    if not (np.isfinite(real).all() and np.isfinite(imag).all()):
+        raise IoError(f"matrix file {path}: entries must be finite")
     M = real + 1j * imag
     return hermitize(M) if hermitian else M
 

@@ -63,9 +63,6 @@ class Construction:
     model: SdpModel
     target: VarId | None
     recipes: list
-    mode: str  # "hyp" | "epi"
-    t: Fraction
-    dim: int
     aux: dict = field(default_factory=dict)  # named extra vars (tau, X, ...)
     report_divisor: float = 1.0  # objective is divided by this on report
 
@@ -250,10 +247,7 @@ def build_geomean(task: GeoMeanTask) -> Construction:
     else:
         b.add_data("T", hermitize(task.T))
         emit(b, A, B, AffineBlock.constant(hermitize(task.T)), task.t.fraction)
-    return Construction(
-        model=b.freeze(), target=Tvar, recipes=list(b.recipes),
-        mode=mode, t=task.t.fraction, dim=task.n,
-    )
+    return Construction(model=b.freeze(), target=Tvar, recipes=list(b.recipes))
 
 
 # ---------------------------------------------------------------------------

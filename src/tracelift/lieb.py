@@ -100,8 +100,7 @@ def build_lieb(K, A, B, t: RationalExponent) -> Construction:
     b.add_scalar(f, label="pinch")
     b.add_recipe(tau, "scalar_tight", f)
     return Construction(
-        model=b.freeze(), target=Tvar, recipes=list(b.recipes),
-        mode=mode, t=t, dim=n * m, aux={"tau": tau},
+        model=b.freeze(), target=Tvar, recipes=list(b.recipes), aux={"tau": tau},
     )
 
 
@@ -141,10 +140,7 @@ def build_kron_power(A, B, s, t) -> Construction:
         b.add_recipe(Tvar, "geomean", (u, eye, Sblk))
         _emit_hyp(b, eye, Sblk, AffineBlock.of_var(Tvar), u)
     b.set_objective("maximize", LinearFunctional(0.0, [(Tvar, np.eye(d))]))
-    return Construction(
-        model=b.freeze(), target=Tvar, recipes=list(b.recipes),
-        mode="hyp", t=t, dim=d,
-    )
+    return Construction(model=b.freeze(), target=Tvar, recipes=list(b.recipes))
 
 
 def build_multivariate(mats, weights) -> Construction:
@@ -173,10 +169,7 @@ def build_multivariate(mats, weights) -> Construction:
         cur = AffineBlock.of_var(Tvar)
     d = int(np.prod(dims))
     b.set_objective("maximize", LinearFunctional(0.0, [(Tvar, np.eye(d))]))
-    return Construction(
-        model=b.freeze(), target=Tvar, recipes=list(b.recipes),
-        mode="hyp", t=weights[-1], dim=d,
-    )
+    return Construction(model=b.freeze(), target=Tvar, recipes=list(b.recipes))
 
 
 def _check_weights(weights, k: int):
@@ -224,10 +217,7 @@ def build_tsallis_entropy(A, t: RationalExponent) -> Construction:
         "maximize",
         LinearFunctional(-np.trace(A).real / ct, [(Tvar, np.eye(n) / ct)]),
     )
-    return Construction(
-        model=b.freeze(), target=Tvar, recipes=list(b.recipes),
-        mode="hyp", t=t, dim=n,
-    )
+    return Construction(model=b.freeze(), target=Tvar, recipes=list(b.recipes))
 
 
 def build_tsallis_rel_entropy(A, B, t: RationalExponent) -> Construction:
@@ -257,8 +247,7 @@ def build_tsallis_rel_entropy(A, B, t: RationalExponent) -> Construction:
     b.add_recipe(sigma, "scalar_tight", f)
     b.set_objective("minimize", LinearFunctional(0.0, [(sigma, np.eye(1))]))
     return Construction(
-        model=b.freeze(), target=Tvar, recipes=list(b.recipes),
-        mode="hyp", t=t, dim=n * n, aux={"sigma": sigma},
+        model=b.freeze(), target=Tvar, recipes=list(b.recipes), aux={"sigma": sigma},
     )
 
 
@@ -312,8 +301,8 @@ def build_upsilon(K, A, t: RationalExponent) -> Construction:
     b.add_scalar(f, label="pinch")
     b.add_recipe(tau, "scalar_tight", f)
     return Construction(
-        model=b.freeze(), target=Tvar, recipes=list(b.recipes),
-        mode=mode, t=t, dim=n * m, aux=aux, report_divisor=float(t),
+        model=b.freeze(), target=Tvar, recipes=list(b.recipes), aux=aux,
+        report_divisor=float(t),
     )
 
 
@@ -352,10 +341,7 @@ def build_fidelity(A, B) -> Construction:
         label="fidelity",
     )
     b.set_objective("maximize", LinearFunctional(0.0, [(H, np.eye(n))]))
-    return Construction(
-        model=b.freeze(), target=H, recipes=[], mode="hyp",
-        t=Fraction(1, 2), dim=n, aux={"H": H, "G": G},
-    )
+    return Construction(model=b.freeze(), target=H, recipes=[], aux={"H": H, "G": G})
 
 
 def fidelity_witness(A, B, construction: Construction) -> WitnessAssignment:

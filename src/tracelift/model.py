@@ -20,7 +20,7 @@ from .errors import (
     NoObjective,
     TraceliftError,
 )
-from .kernel import hermitize
+from .kernel import hermitize, kron
 
 # ---------------------------------------------------------------------------
 # variables and coordinate bases
@@ -186,9 +186,9 @@ class VarTerm:
         """The term's image of X, or of each matrix of a stack X."""
         Y = np.conj(X) if self.op == "conj" else X
         if self.kl is not None:
-            Y = np.kron(self.kl, Y)
+            Y = kron(self.kl, Y)
         elif self.kr is not None:
-            Y = np.kron(Y, self.kr)
+            Y = kron(Y, self.kr)
         return self.coeff * Y
 
     def evaluate(self, assignment) -> np.ndarray:

@@ -13,6 +13,8 @@ byte-identical.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ComplexDataError, IoError, NotRealified, SdpaParseError
@@ -136,6 +138,8 @@ def import_sdpa(path) -> SdpModel:
         raise SdpaParseError(
             f"{nblocks} blocks declared but {len(sizes)} sizes given", line_no=lno_sz
         )
+    if 0 in sizes:
+        raise SdpaParseError("block sizes must be nonzero", line_no=lno_sz)
     lno_c, ctext = rows[3]
     ctoks = ctext.replace(",", " ").replace("{", " ").replace("}", " ").split()
     if len(ctoks) != m:
@@ -146,6 +150,8 @@ def import_sdpa(path) -> SdpModel:
         c = [float(t) for t in ctoks]
     except ValueError:
         raise SdpaParseError(f"bad objective entry in {ctext!r}", line_no=lno_c)
+    if not all(map(math.isfinite, c)):
+        raise SdpaParseError(f"non-finite objective entry in {ctext!r}", line_no=lno_c)
 
     # F[matno, blk] dense, only for the pairs that have entries; diagonal
     # blocks are stored dense too (small)
@@ -160,6 +166,8 @@ def import_sdpa(path) -> SdpModel:
             val = float(toks[4])
         except ValueError:
             raise SdpaParseError(f"bad entry line {text!r}", line_no=lno)
+        if not math.isfinite(val):
+            raise SdpaParseError(f"non-finite value in {text!r}", line_no=lno)
         if not 0 <= matno <= m:
             raise SdpaParseError(f"matrix index {matno} out of range", line_no=lno)
         if not 1 <= blk <= nblocks:

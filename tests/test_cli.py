@@ -133,6 +133,24 @@ class TestMalformedMatrixFile:
         assert rc == 3
         assert str(bad) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("doc", [
+        {"re": [[float("nan"), 0.0], [0.0, 1.0]]},
+        {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, float("inf")], [0.0, 0.0]]},
+    ], ids=["nan-re", "inf-im"])
+    @pytest.mark.parametrize("argv", [
+        ["emit", "--function", "lieb", "--t", "1/2", "--K", "{bad}", "--out", "{out}"],
+        ["eval", "--function", "geomean", "--t", "1/2", "--A", "{bad}"],
+        ["verify", "--function", "geomean", "--t", "1/2", "--A", "{bad}", "--trials", "1"],
+    ], ids=["emit", "eval", "verify"])
+    def test_non_finite_exit_3(self, tmp_path, capsys, doc, argv):
+        bad, out = tmp_path / "bad.json", tmp_path / "m.dat-s"
+        bad.write_text(json.dumps(doc))
+        rc = main([a.format(bad=bad, out=out) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(bad) in err and "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_rectangular_k_accepted(self, tmp_path, diag_files):
         # K need not be square or Hermitian
         K = tmp_path / "K.json"

@@ -9,7 +9,6 @@ from tracelift.cli import load_matrix, save_matrix
 from tracelift.errors import DomainError, NotPositiveDefinite
 from tracelift.instances import random_density, random_matrix, random_pd
 from tracelift.kernel import (
-    HermitianMatrix,
     RationalExponent,
     binary_expansion,
     fidelity_value,
@@ -169,6 +168,30 @@ class TestKron:
         assert abs(lhs - rhs) < 1e-9
         assert abs(lhs - lieb_value(K, A, B, t)) < 1e-9
 
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3), (3, 2)),      # matrix (x) matrix
+        ((3, 2), (4, 2, 3)),   # matrix (x) stack
+        ((4, 2, 3), (3, 2)),   # stack (x) matrix
+        ((1, 1, 1), (3, 3)),   # 1x1 stack (x) matrix
+        ((5, 5), (1, 1, 1)),   # matrix (x) 1x1 stack, as for an imported SDPA term
+    ], ids=["mat-mat", "mat-stack", "stack-mat", "unit-stack-mat", "mat-unit-stack"])
+    @pytest.mark.parametrize("complex_", [True, False], ids=["complex", "real"])
+    def test_bits_equal_numpy(self, rng, shapes, complex_):
+        def draw(shape):
+            M = rng.standard_normal(shape)
+            if complex_:
+                M = M + 1j * rng.standard_normal(shape)
+            # signed zeros: -0.0 and +0.0 products must come out as numpy's do
+            M.flat[::4] = -0.0
+            M.flat[1::5] = 0.0
+            return M
+
+        P, Q = draw(shapes[0]), draw(shapes[1])
+        want = np.kron(P.astype(complex), Q.astype(complex))
+        got = kron(P, Q)
+        assert got.dtype == complex and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 class TestEntropies:
     def test_tsallis_limit(self, rng):
@@ -219,11 +242,5 @@ class TestFidelity:
 class TestHermitianMatrix:
     def test_json_round_trip(self, rng, tmp_path):
         A = random_pd(3, rng)
-        H = HermitianMatrix(A)
-        save_matrix(H.mat, tmp_path / "H.json")
-        H2 = HermitianMatrix(load_matrix(tmp_path / "H.json"))
-        assert np.abs(H2.mat - A).max() < 1e-15
-
-    def test_pd_flags(self):
-        assert HermitianMatrix(np.eye(2)).is_pd()
-        assert not HermitianMatrix(np.diag([1.0, -1.0])).is_psd()
+        save_matrix(A, tmp_path / "H.json")
+        assert np.abs(load_matrix(tmp_path / "H.json") - A).max() < 1e-15

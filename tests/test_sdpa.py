@@ -7,7 +7,7 @@ from tracelift.errors import ComplexDataError, NotRealified, SdpaParseError
 from tracelift.geomean import GeoMeanTask, build_geomean
 from tracelift.instances import random_matrix, random_pd
 from tracelift.kernel import RationalExponent
-from tracelift.lieb import build_kron_power, build_lieb
+from tracelift.lieb import build_kron_power, build_lieb, build_multivariate, build_upsilon
 from tracelift.model import (
     AffineBlock, LinearFunctional, ModelBuilder, RealifiedTerm, phi, realify, var_basis,
 )
@@ -87,6 +87,17 @@ class TestParseErrors:
     def test_entry_out_of_range(self, tmp_path):
         self.check(tmp_path, "1\n1\n2\n1.0\n0 1 3 3 1.0\n", 5)
 
+    def test_zero_block_size(self, tmp_path):
+        self.check(tmp_path, "1\n2\n2 0\n1.0\n0 1 1 1 1.0\n", 3)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1e400"])
+    def test_non_finite_objective(self, tmp_path, bad):
+        self.check(tmp_path, f"2\n1\n2\n1.0 {bad}\n", 4)
+
+    @pytest.mark.parametrize("bad", ["nan", "1e400", "-inf"])
+    def test_non_finite_entry(self, tmp_path, bad):
+        self.check(tmp_path, f"1\n1\n2\n1.0\n0 1 1 1 -1.0\n1 1 1 1 {bad}\n", 6)
+
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "ok.dat-s"
         path.write_text(
@@ -118,10 +129,17 @@ class TestScalarBlocks:
 
 
 def coord_image(t, k):
-    """Term t's image of basis matrix k of its variable, from ``evaluate``."""
+    """Term t's image of basis matrix k of its variable, formed here with
+    numpy's own kron rather than through the term's methods."""
     if isinstance(t, RealifiedTerm):
-        return phi(t.inner.evaluate({t.inner.var: var_basis(t.inner.var)[k]}))
-    return t.evaluate({t.var: var_basis(t.var)[k]})
+        return phi(coord_image(t.inner, k))
+    E = var_basis(t.var)[k]
+    E = E.conj() if t.op == "conj" else E
+    if t.kl is not None:
+        E = np.kron(t.kl, E)
+    if t.kr is not None:
+        E = np.kron(E, t.kr)
+    return t.coeff * E
 
 
 def oracle_slices(lmi, offsets):
@@ -167,6 +185,19 @@ def kron_power(rng, tmp_path):
                                     RationalExponent(1, 3)).model)[0]
 
 
+def upsilon_conj_left(rng, tmp_path):
+    # the term I (x) conj(X): a left Kronecker factor on a conjugated variable
+    K = random_matrix(2, 3, rng)
+    return realify(build_upsilon(K, random_pd(2, rng), RationalExponent(1, 2)).model)[0]
+
+
+def multivariate_right(rng, tmp_path):
+    # the terms S (x) I: a right Kronecker factor
+    mats = [random_pd(2, rng) for _ in range(3)]
+    return build_multivariate(mats, [RationalExponent(1, 2), RationalExponent(1, 4),
+                                     RationalExponent(1, 4)]).model
+
+
 def repeated_terms(rng, tmp_path):
     # grid slots holding two constants and two terms of one variable
     A, B = random_pd(2, rng), random_pd(2, rng)
@@ -187,7 +218,7 @@ def imported_lieb(rng, tmp_path):
 class TestSlices:
     @pytest.mark.parametrize("make", [
         complex_geomean, complex_geomean_unrealified, lieb_scalar, kron_power, repeated_terms,
-        imported_lieb,
+        imported_lieb, upsilon_conj_left, multivariate_right,
     ])
     def test_equal_to_per_coordinate_oracle(self, rng, tmp_path, make):
         model = make(rng, tmp_path)

@@ -1,0 +1,142 @@
+"""Paired benchmark runs of a base revision and the working tree, written as
+a before/after pair of BENCH_*.json files at the repository root.
+
+    python3 tools/bench_pair.py --base REV --workload W --pairs N --seconds S \\
+        --seed K --label L [--trace 0|1]
+
+Extracts REV with ``git archive`` into a temporary directory and runs
+``bench/run.py`` there and in the working tree, N times each. The side
+that goes first alternates from pair to pair, so a drift in the machine's
+load falls on both sides alike. From each run it reads the last JSON line
+of standard output (the metrics) and ``bench/results/<W>-seed<K>-trace<T>.json``
+(the per-case records).
+
+Writes BENCH_<L>_parent.json (REV) and BENCH_<L>_change.json (the working
+tree). Each holds every run's metrics and their medians; each case's
+solver status and iterations (verify workloads) or SDPA bytes (emit), as
+seen in every round of every run; the Python and numpy versions and the
+CPU count; the seed; and the commit, with a dirty flag for the working
+tree.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def run_once(tree: Path, args) -> dict:
+    """One bench/run.py run in ``tree``: its metrics and its case records."""
+    cmd = [sys.executable, "bench/run.py", "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds),
+           "--trace", str(args.trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"bench/run.py failed in {tree}:\n{proc.stderr}")
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    name = f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
+    result = json.loads((tree / "bench" / "results" / name).read_text())
+    return {
+        "correct": summary["correct"],
+        "attempted": summary["attempted"],
+        "failed": summary["failed"],
+        "rounds": result["rounds"],
+        "metrics": {k: m["value"] for k, m in summary["metrics"].items()},
+        "records": result["records"],
+    }
+
+
+def case_outcomes(runs) -> list:
+    """Per case of a round, each field's distinct values over every round of
+    every run: one value when the runs agree, a sorted list when not."""
+    per_round = len(runs[0]["records"]) // runs[0]["rounds"]
+    out = []
+    for i in range(per_round):
+        recs = [r for run in runs for r in run["records"][i::per_round]]
+        entry = {"case": recs[0]["case"]}
+        for key in ("status", "iters", "bytes", "error"):
+            seen = sorted({r[key] for r in recs if key in r}, key=str)
+            if seen:
+                entry[key] = seen[0] if len(seen) == 1 else seen
+        out.append(entry)
+    return out
+
+
+def side_doc(side, commit, dirty, runs, args) -> dict:
+    metrics = list(runs[0]["metrics"])
+    return {
+        "label": args.label,
+        "side": side,
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "trace": args.trace,
+        "commit": commit,
+        "dirty": dirty,
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "cpus": os.cpu_count(),
+        "median": {k: statistics.median(r["metrics"][k] for r in runs) for k in metrics},
+        "runs": [{k: r[k] for k in ("first", "correct", "attempted", "failed", "rounds",
+                                    "metrics")} for r in runs],
+        "cases": case_outcomes(runs),
+    }
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True, help="git revision of the parent side")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    base = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    head = git("rev-parse", "HEAD")
+    dirty = bool(git("status", "--porcelain"))
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", base],
+                                   stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", tmp], stdin=archive.stdout, check=True)
+        if archive.wait() != 0:
+            sys.exit(f"git archive {base} failed")
+        trees = {"parent": Path(tmp), "change": ROOT}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = run_once(trees[side], args)
+                run["first"] = side == order[0]
+                runs[side].append(run)
+                print(f"pair {i + 1}/{args.pairs} {side}: "
+                      + ", ".join(f"{k} {v:.4g}" for k, v in run["metrics"].items()),
+                      file=sys.stderr)
+
+    for side, commit, is_dirty in (("parent", base, False), ("change", head, dirty)):
+        path = ROOT / f"BENCH_{args.label}_{side}.json"
+        path.write_text(json.dumps(side_doc(side, commit, is_dirty, runs[side], args),
+                                   indent=1) + "\n")
+        print(f"wrote {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
