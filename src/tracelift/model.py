@@ -348,6 +348,33 @@ class LmiConstraint:
         return G0, np.array(idx, dtype=int), A
 
 
+class SlicedLmi:
+    """A PSD constraint G0 + sum_k x_k A[k] >= 0 held as its slices, over
+    scalar variables ``vars`` given in coordinate order: the form
+    ``import_sdpa`` reads a block into, so that ``slices`` forms nothing."""
+
+    def __init__(self, G0, vars, A, label: str = ""):
+        self.G0, self._vars, self.A, self.label = G0, tuple(vars), A, label
+
+    @property
+    def size(self) -> int:
+        return len(self.G0)
+
+    def vars(self) -> set:
+        return set(self._vars)
+
+    def assemble(self, assignment) -> np.ndarray:
+        out = self.G0.astype(complex)
+        for v, Ak in zip(self._vars, self.A):
+            out += as_matrix(assignment[v], 1)[0, 0] * Ak
+        return out
+
+    def slices(self, offsets) -> tuple:
+        """``(G0, idx, A)`` as ``LmiConstraint.slices`` gives them; the
+        arrays held, not copies."""
+        return self.G0, np.array([offsets[v] for v in self._vars], dtype=int), self.A
+
+
 class LinearFunctional:
     """constant + sum_v Re tr(M_v X_v)."""
 
@@ -587,6 +614,10 @@ def model_is_real(model: SdpModel) -> bool:
         return False  # RealifiedTerm only occurs in realified models
 
     for lmi in model.lmis:
+        if isinstance(lmi, SlicedLmi):
+            if not (_matrix_is_real(lmi.G0) and _matrix_is_real(lmi.A)):
+                return False
+            continue
         for row in lmi.grid:
             for blk in row:
                 if not all(term_real(t) for t in blk.terms):

@@ -8,7 +8,8 @@ maps onto the SDPA problem  min c'x, sum_i x_i F_i - F0 >= 0  via
 c = -b, F_k = G_k, F0 = -G0.  Scalar constraints become one diagonal
 block (negative size in the header, as SDPA prescribes).  Floats are
 written with ``repr`` so that export -> import -> export is
-byte-identical.
+byte-identical.  SDPA has no objective constant; a nonzero one is
+written on a leading comment line, which SDPA readers skip.
 """
 
 from __future__ import annotations
@@ -19,15 +20,12 @@ import numpy as np
 
 from .errors import ComplexDataError, IoError, NotRealified, SdpaParseError
 from .model import (
-    AffineBlock,
-    ConstTerm,
     LinearFunctional,
-    LmiConstraint,
     Objective,
     ScalarConstraint,
     SdpModel,
+    SlicedLmi,
     VarId,
-    VarTerm,
 )
 
 
@@ -35,6 +33,10 @@ def _real_or_raise(M, where: str) -> np.ndarray:
     if np.iscomplexobj(M) and M.imag.any():
         raise ComplexDataError(f"complex entries in {where}; realify the model first")
     return M.real
+
+
+# the comment line that carries K, the constant added to the SDPA objective c'x
+_CONSTANT = "* objective constant "
 
 
 def _fmt(x: float) -> str:
@@ -52,10 +54,12 @@ def _entries(matnos, blk, vals, rows, cols):
 def export_sdpa(model: SdpModel, path) -> None:
     """Write a realified model in SDPA sparse format.
 
-    The file carries no objective constant term, as SDPA has none: its
-    objective is the model's minus ``objective.functional.constant``,
-    negated for a maximising model.  For a tsallis entropy model the two
-    differ by tr A / t.
+    SDPA has no objective constant, so a nonzero
+    ``objective.functional.constant`` goes on a leading comment line
+    ``* objective constant K``: c'x + K is the model's objective, negated
+    for a maximising model.  `import_sdpa` reads the line back; other SDPA
+    readers skip it, and their optimum is then off by K (tr A / t for a
+    tsallis entropy model).
     """
     if not model.realified:
         raise NotRealified("export requires a realified model")
@@ -86,7 +90,9 @@ def export_sdpa(model: SdpModel, path) -> None:
     ents = [np.concatenate(col) for col in zip(*parts)] if parts else [np.zeros(0)] * 5
     order = np.argsort(ents[0], kind="stable")
 
-    lines = [str(m), str(len(sizes)), " ".join(str(s) for s in sizes),
+    K = -flip * obj.functional.constant
+    lines = [_CONSTANT + _fmt(K)] if K != 0.0 else []
+    lines += [str(m), str(len(sizes)), " ".join(str(s) for s in sizes),
              " ".join(_fmt(x) for x in c)]
     lines += [f"{matno} {blk} {i} {j} {val!r}"
               for matno, blk, i, j, val in zip(*(col[order].tolist() for col in ents))]
@@ -97,12 +103,81 @@ def export_sdpa(model: SdpModel, path) -> None:
         raise IoError(str(exc))
 
 
+def _columns(ents):
+    """(matno, blk, i, j, val) columns of split 5-field entry lines; raises
+    ValueError where a field does not convert."""
+    if not ents:
+        return [np.zeros(0, dtype=int)] * 4 + [np.zeros(0)]
+    cols = list(zip(*ents))
+    return [np.array(list(map(int, col))) for col in cols[:4]] + [np.array(list(map(float, cols[4])))]
+
+
+def _converts(fields) -> bool:
+    try:
+        _columns([fields])
+    except ValueError:
+        return False
+    return True
+
+
+def _read_entries(rows, m, sizes):
+    """The checked (matno, block, i, j, val) columns of the entry lines,
+    block, i and j counted from 0.
+
+    The checks run on whole columns, yet the first line that fails any of
+    them raises, with the first check it fails in the order below, as
+    checking line by line would: lines are split, then converted, then
+    checked by value, and a second entry at one position is a fault.
+    """
+    ents = [text.split() for _, text in rows]
+    n, fault = len(ents), None  # the leading lines that split and convert, and the fault after them
+    short = next((p for p, e in enumerate(ents) if len(e) != 5), None)
+    if short is not None:
+        n, fault = short, "entry line needs 5 fields, got {text!r}"
+    try:
+        matno, blk, i, j, val = _columns(ents[:n])
+    except ValueError:
+        n, fault = next(p for p in range(n) if not _converts(ents[p])), "bad entry line {text!r}"
+        matno, blk, i, j, val = _columns(ents[:n])
+    nb = len(sizes)
+    b = np.where((1 <= blk) & (blk <= nb), blk - 1, nb).astype(int)  # a bad block reads size 0
+    size = np.array(sizes + [0])[b]
+    d = np.abs(size)
+    checks = [
+        (~np.isfinite(val), "non-finite value in {text!r}"),
+        ((matno < 0) | (matno > m), "matrix index {matno} out of range"),
+        (b == nb, "block index {blk} out of range"),
+        (~((1 <= i) & (i <= j) & (j <= d)), "entry ({i},{j}) outside upper triangle of size {d}"),
+        ((size < 0) & (i != j), "off-diagonal entry in a diagonal block"),
+    ]
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    # each bad line gets a key of its own, so that only good lines can repeat
+    width = max(map(abs, sizes), default=0) + 1
+    key = np.where(bad, -1 - np.arange(n), ((matno * nb + b) * width + i) * width + j)
+    again = np.ones(n, dtype=bool)
+    again[np.unique(key, return_index=True)[1]] = False
+    checks.append((again, "entry ({i},{j}) of matrix {matno} in block {blk} given twice"))
+    bad |= again
+    if bad.any():
+        n = int(bad.argmax())
+        fault = next(msg for mask, msg in checks if mask[n])
+    if fault is not None:
+        lno, text = rows[n]
+        fields = {"text": text}
+        if n < len(matno):
+            fields.update(matno=matno[n], blk=blk[n], i=i[n], j=j[n], d=d[n])
+        raise SdpaParseError(fault.format(**fields), line_no=lno)
+    return matno, b, i - 1, j - 1, val
+
+
 def import_sdpa(path) -> SdpModel:
     """Read an SDPA sparse file as a realified model over scalar variables.
 
     The result is a flat model: one real scalar variable per SDPA
-    variable, one LMI per PSD block and one scalar constraint per row
-    of each diagonal block.  Re-exporting reproduces the file.
+    variable, one `SlicedLmi` per PSD block, holding the matrices that
+    occur in that block, and one scalar constraint per row of each
+    diagonal block.  An objective constant line, as `export_sdpa` writes
+    it, is read back.  Re-exporting reproduces the file.
     """
     try:
         with open(path) as fh:
@@ -110,13 +185,19 @@ def import_sdpa(path) -> SdpModel:
     except OSError as exc:
         raise IoError(str(exc))
 
-    rows = []
-    for lno, line in enumerate(raw, start=1):
-        text = line.split("*")[0].split('"')[0].strip()
-        if text:
-            rows.append((lno, text))
+    texts = [line.split("*")[0].split('"')[0].strip() for line in raw]
+    rows = [(lno, text) for lno, text in enumerate(texts, start=1) if text]
     if len(rows) < 4:
         raise SdpaParseError("file ends before the objective row", line_no=len(raw))
+    constant = 0.0  # the model's objective constant, from a comment line before the data
+    for lno, line in enumerate(raw[:rows[0][0] - 1], start=1):
+        if line.startswith(_CONSTANT):
+            try:
+                constant = -float(line[len(_CONSTANT):])
+            except ValueError:
+                constant = math.nan
+            if not math.isfinite(constant):
+                raise SdpaParseError(f"bad objective constant in {line.strip()!r}", line_no=lno)
 
     def ints(idx, count=None):
         lno, text = rows[idx]
@@ -153,70 +234,28 @@ def import_sdpa(path) -> SdpModel:
     if not all(map(math.isfinite, c)):
         raise SdpaParseError(f"non-finite objective entry in {ctext!r}", line_no=lno_c)
 
-    # F[matno, blk] dense, only for the pairs that have entries; diagonal
-    # blocks are stored dense too (small)
-    dims = [abs(s) for s in sizes]
-    F = {}
-    for lno, text in rows[4:]:
-        toks = text.split()
-        if len(toks) != 5:
-            raise SdpaParseError(f"entry line needs 5 fields, got {text!r}", line_no=lno)
-        try:
-            matno, blk, i, j = (int(t) for t in toks[:4])
-            val = float(toks[4])
-        except ValueError:
-            raise SdpaParseError(f"bad entry line {text!r}", line_no=lno)
-        if not math.isfinite(val):
-            raise SdpaParseError(f"non-finite value in {text!r}", line_no=lno)
-        if not 0 <= matno <= m:
-            raise SdpaParseError(f"matrix index {matno} out of range", line_no=lno)
-        if not 1 <= blk <= nblocks:
-            raise SdpaParseError(f"block index {blk} out of range", line_no=lno)
-        d = dims[blk - 1]
-        if not (1 <= i <= j <= d):
-            raise SdpaParseError(
-                f"entry ({i},{j}) outside upper triangle of size {d}", line_no=lno
-            )
-        if sizes[blk - 1] < 0 and i != j:
-            raise SdpaParseError("off-diagonal entry in a diagonal block", line_no=lno)
-        Fb = F.get((matno, blk - 1))
-        if Fb is None:
-            Fb = F[matno, blk - 1] = np.zeros((d, d))
-        Fb[i - 1, j - 1] = val
-        Fb[j - 1, i - 1] = val
-
+    cols = _read_entries(rows[4:], m, sizes)
+    nz = cols[-1] != 0.0  # a zero entry adds nothing, so only a matrix with nonzeros gets a slice
+    matno, blk, i, j, val = (col[nz] for col in cols)
     xs = [VarId(k, 1, f"x{k + 1}", "real") for k in range(m)]
-    lmis = []
-    scalars = []
-    for bi, (size, d) in enumerate(zip(sizes, dims)):
-        F0 = F.get((0, bi), np.zeros((d, d)))
-        Fk = [(k, F[k + 1, bi]) for k in range(m) if (k + 1, bi) in F]
-        if size > 0:
-            terms = [ConstTerm(-F0.astype(complex))]
-            for k, Fb in Fk:
-                if np.abs(Fb).max(initial=0.0) != 0.0:
-                    terms.append(VarTerm(xs[k], 1.0, kl=Fb.astype(complex)))
-            lmis.append(
-                LmiConstraint([[AffineBlock(size, terms)]], label=f"block {bi + 1}")
-            )
-        else:
-            for j in range(-size):
-                fterms = []
-                for k, Fb in Fk:
-                    coef = Fb[j, j]
-                    if coef != 0.0:
-                        fterms.append((xs[k], np.array([[coef]])))
-                scalars.append(
-                    ScalarConstraint(
-                        LinearFunctional(-F0[j, j], fterms),
-                        label=f"block {bi + 1} row {j + 1}",
-                    )
-                )
-    objective = Objective(
-        "maximize",
-        LinearFunctional(
-            0.0,
-            [(xs[k], np.array([[-c[k]]])) for k in range(m) if c[k] != 0.0],
-        ),
-    )
+    lmis, scalars = [], []
+    order = np.argsort(blk, kind="stable")
+    starts = np.searchsorted(blk[order], np.arange(nblocks + 1))
+    for bi, size in enumerate(sizes):
+        e = order[starts[bi]:starts[bi + 1]]
+        # one stack per block: F0, then the matrices occurring in it
+        mats = np.union1d(0, matno[e])
+        s = np.searchsorted(mats, matno[e])
+        F = np.zeros((len(mats), abs(size), abs(size)))
+        F[s, i[e], j[e]] = F[s, j[e], i[e]] = val[e]
+        if size > 0:  # G0 = -F0; 0.0 - F0 leaves its zeros unsigned
+            lmis.append(SlicedLmi(0.0 - F[0], [xs[k - 1] for k in mats[1:]], F[1:],
+                                  label=f"block {bi + 1}"))
+            continue
+        for r in range(-size):
+            terms = [(xs[k - 1], [[a]]) for k, a in zip(mats[1:], F[1:, r, r]) if a != 0.0]
+            scalars.append(ScalarConstraint(
+                LinearFunctional(-F[0, r, r], terms), label=f"block {bi + 1} row {r + 1}"))
+    terms = [(xs[k], [[-ck]]) for k, ck in enumerate(c) if ck != 0.0]
+    objective = Objective("maximize", LinearFunctional(constant, terms))
     return SdpModel(xs, lmis, scalars, objective, {}, realified=True)

@@ -6,10 +6,13 @@ import pytest
 from tracelift.errors import ComplexDataError, NotRealified, SdpaParseError
 from tracelift.geomean import GeoMeanTask, build_geomean
 from tracelift.instances import random_matrix, random_pd
-from tracelift.kernel import RationalExponent
-from tracelift.lieb import build_kron_power, build_lieb, build_multivariate, build_upsilon
+from tracelift.kernel import RationalExponent, tsallis_entropy
+from tracelift.lieb import (
+    build_kron_power, build_lieb, build_multivariate, build_tsallis_entropy, build_upsilon,
+)
 from tracelift.model import (
-    AffineBlock, LinearFunctional, ModelBuilder, RealifiedTerm, phi, realify, var_basis,
+    AffineBlock, LinearFunctional, ModelBuilder, RealifiedTerm, model_is_real, phi, realify,
+    var_basis,
 )
 from tracelift.sdpa import export_sdpa, import_sdpa
 from tracelift.solver import solve
@@ -65,12 +68,14 @@ class TestExportErrors:
 
 
 class TestParseErrors:
-    def check(self, tmp_path, text, line_no):
+    def check(self, tmp_path, text, line_no, message=None):
         path = tmp_path / "bad.dat-s"
         path.write_text(text)
         with pytest.raises(SdpaParseError) as exc:
             import_sdpa(path)
         assert exc.value.line_no == line_no
+        if message is not None:
+            assert str(exc.value).startswith(f"line {line_no}: {message}")
 
     def test_bad_m(self, tmp_path):
         self.check(tmp_path, "x\n1\n2\n1.0\n", 1)
@@ -98,6 +103,39 @@ class TestParseErrors:
     def test_non_finite_entry(self, tmp_path, bad):
         self.check(tmp_path, f"1\n1\n2\n1.0\n0 1 1 1 -1.0\n1 1 1 1 {bad}\n", 6)
 
+    def test_duplicate_entry(self, tmp_path):
+        self.check(tmp_path, "1\n1\n2\n1.0\n1 1 1 1 1.0\n0 1 1 2 1.0\n1 1 1 1 2.0\n", 7,
+                   "entry (1,1) of matrix 1 in block 1 given twice")
+
+    def test_bad_token_before_short_line(self, tmp_path):
+        self.check(tmp_path, "1\n1\n2\n1.0\n1 1 x 1 1.0\n1 1 1 1\n", 5,
+                   "bad entry line '1 1 x 1 1.0'")
+
+    def test_bad_block_before_nan(self, tmp_path):
+        self.check(tmp_path, "1\n1\n2\n1.0\n1 2 1 1 1.0\n1 1 1 1 nan\n", 5,
+                   "block index 2 out of range")
+
+    @pytest.mark.parametrize("bad", ["x", "nan", ""])
+    def test_bad_objective_constant(self, tmp_path, bad):
+        self.check(tmp_path, f"* objective constant {bad}\n1\n1\n2\n1.0\n", 1)
+
+    def test_first_fault_as_line_by_line(self, tmp_path):
+        # random faulty files: the error is the one a per-line loop raises
+        rng = np.random.default_rng(5)
+        good = ["0 1 1 1 -1.0", "1 1 1 2 0.5", "2 1 2 2 1.5", "1 2 1 1 2.0", "2 2 2 2 1.0"]
+        bad = ["1 1 1 1", "1 1 1 1 1.0 2", "1 x 1 1 1.0", "1 1 1 1 y", "1 1 1 1 inf",
+               "3 1 1 1 1.0", "-1 1 1 1 1.0", "1 3 1 1 1.0", "1 0 1 1 1.0", "1 1 2 1 1.0",
+               "1 1 1 3 1.0", "1 2 1 2 1.0", "1 1 1 2 9.0", "1 99999999999999999999 1 1 1.0",
+               # lines with two faults, of which the first check's must be reported
+               "3 1 1 1 nan", "3 3 1 1 1.0", "1 3 3 1 1.0", "1 2 2 1 1.0", "1 2 1 2 nan"]
+        for _ in range(200):
+            body = list(rng.permutation(good))
+            for _ in range(rng.integers(1, 3)):
+                body.insert(rng.integers(0, len(body) + 1), rng.choice(bad))
+            text = "2\n2\n2 -2\n1.0 2.0\n" + "\n".join(body) + "\n"
+            lno, message = line_by_line_fault(text)
+            self.check(tmp_path, text, lno, message)
+
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "ok.dat-s"
         path.write_text(
@@ -111,6 +149,78 @@ class TestParseErrors:
         # maximize x with x*I - I >= 0 flipped: F0=-G0 convention makes
         # the constraint x >= 1, objective -x, optimum at x = 1
         assert abs(abs(res.objective) - 1.0) < 1e-6
+
+
+def line_by_line_fault(text):
+    """(line, message) of the first fault in the entry lines of ``text``,
+    a file of SDPA entries after a four-line header, checking one line at
+    a time as import_sdpa once did."""
+    lines = text.splitlines()
+    m, sizes = int(lines[0]), [int(s) for s in lines[2].split()]
+    seen = set()
+    for lno, line in enumerate(lines[4:], start=5):
+        toks = line.split()
+        if len(toks) != 5:
+            return lno, "entry line needs 5 fields"
+        try:
+            matno, blk, i, j = map(int, toks[:4])
+            val = float(toks[4])
+        except ValueError:
+            return lno, "bad entry line"
+        if not np.isfinite(val):
+            return lno, "non-finite value"
+        if not 0 <= matno <= m:
+            return lno, f"matrix index {matno} out of range"
+        if not 1 <= blk <= len(sizes):
+            return lno, f"block index {blk} out of range"
+        if not 1 <= i <= j <= abs(sizes[blk - 1]):
+            return lno, f"entry ({i},{j}) outside upper triangle"
+        if sizes[blk - 1] < 0 and i != j:
+            return lno, "off-diagonal entry in a diagonal block"
+        if (matno, blk, i, j) in seen:
+            return lno, f"entry ({i},{j}) of matrix {matno} in block {blk} given twice"
+        seen.add((matno, blk, i, j))
+    raise AssertionError("no fault")
+
+
+class TestImported:
+    def test_assemble_equals_source(self, rng, tmp_path):
+        # G0 + sum_k y_k A_k of each imported block, against the block it
+        # was exported from
+        model, source = imported_lieb(rng, tmp_path)
+        y = rng.standard_normal(len(model.vars))
+        point = dict(zip(model.vars, y))
+        offsets = source.coord_offsets()[0]
+        for lmi, src in zip(model.lmis, source.lmis):
+            G0, idx, A = src.slices(offsets)
+            want = G0 + sum(y[k] * Ak for k, Ak in zip(idx, A))
+            assert np.allclose(lmi.assemble(point), want, rtol=0, atol=1e-13)
+
+    def test_model_is_real(self, rng, tmp_path):
+        model, _ = imported_lieb(rng, tmp_path)
+        assert model_is_real(model)
+
+    def test_no_entries(self, tmp_path):
+        path = tmp_path / "m.dat-s"
+        path.write_text("1\n2\n2 -1\n1.0\n")
+        model = import_sdpa(path)
+        G0, idx, A = model.lmis[0].slices(model.coord_offsets()[0])
+        assert not G0.any() and idx.size == 0 and A.shape == (0, 2, 2)
+        assert model.scalars[0].functional.constant == 0.0
+
+    def test_objective_constant_round_trip(self, rng, tmp_path):
+        A = random_pd(3, rng)
+        t = RationalExponent(1, 4)
+        model, _ = realify(build_tsallis_entropy(A, t).model)
+        p1, p2 = tmp_path / "a.dat-s", tmp_path / "b.dat-s"
+        export_sdpa(model, p1)
+        assert p1.read_text().startswith(f"* objective constant {float(np.trace(A).real) / 0.25!r}\n")
+        back = import_sdpa(p1)
+        export_sdpa(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        res = solve(back)
+        assert res.ok
+        assert abs(res.objective - tsallis_entropy(A, 0.25)) < 1e-6
 
 
 class TestScalarBlocks:
@@ -211,8 +321,18 @@ def repeated_terms(rng, tmp_path):
 
 
 def imported_lieb(rng, tmp_path):
-    export_sdpa(lieb_scalar(rng, tmp_path), tmp_path / "m.dat-s")
-    return import_sdpa(tmp_path / "m.dat-s")
+    # an imported model, and the model it was exported from
+    source = lieb_scalar(rng, tmp_path)
+    export_sdpa(source, tmp_path / "m.dat-s")
+    return import_sdpa(tmp_path / "m.dat-s"), source
+
+
+def source_slices(source, k):
+    """Reference for the slices of block k of an imported model: those of
+    the LMI it was exported from, all-zero slices dropped."""
+    G0, idx, A = source.lmis[k].slices(source.coord_offsets()[0])
+    keep = A.reshape(len(A), -1).any(axis=1)
+    return G0, idx[keep].tolist(), A[keep]
 
 
 class TestSlices:
@@ -222,10 +342,12 @@ class TestSlices:
     ])
     def test_equal_to_per_coordinate_oracle(self, rng, tmp_path, make):
         model = make(rng, tmp_path)
+        model, source = model if make is imported_lieb else (model, None)
         offsets, m = model.coord_offsets()
-        for lmi in model.lmis:
+        for k, lmi in enumerate(model.lmis):
             G0, idx, A = lmi.slices(offsets)
-            want_G0, want_idx, want_A = oracle_slices(lmi, offsets)
+            want_G0, want_idx, want_A = (oracle_slices(lmi, offsets) if source is None
+                                         else source_slices(source, k))
             assert np.array_equal(G0, want_G0)
             assert idx.tolist() == want_idx
             assert np.array_equal(A, np.array(want_A).reshape(A.shape))
