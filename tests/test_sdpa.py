@@ -153,8 +153,8 @@ class TestParseErrors:
 
 def line_by_line_fault(text):
     """(line, message) of the first fault in the entry lines of ``text``,
-    a file of SDPA entries after a four-line header, checking one line at
-    a time as import_sdpa once did."""
+    a file of SDPA entries after a four-line header, found by checking one
+    line at a time: the fault that import_sdpa must report."""
     lines = text.splitlines()
     m, sizes = int(lines[0]), [int(s) for s in lines[2].split()]
     seen = set()
