@@ -14,10 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import IoError, TraceliftError
+from .errors import IoError, NotPositiveDefinite, TraceliftError
 from .geomean import lmi_census_audit
 from .instances import FUNCTIONS
-from .kernel import RationalExponent, hermitize
+from .kernel import PD_TOL, RationalExponent, _eigh_pd, hermitize
 from .model import check_feasible, realify
 from .sdpa import export_sdpa
 from .solver import solve
@@ -30,6 +30,9 @@ _PARSE = {
 
 
 def load_matrix(path, hermitian: bool = True) -> np.ndarray:
+    """The matrix of a JSON file; with ``hermitian``, its Hermitian part,
+    which must be positive definite, as every oracle requires: so emit
+    rejects the files that eval and verify reject."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -51,7 +54,14 @@ def load_matrix(path, hermitian: bool = True) -> np.ndarray:
     if not (np.isfinite(real).all() and np.isfinite(imag).all()):
         raise IoError(f"matrix file {path}: entries must be finite")
     M = real + 1j * imag
-    return hermitize(M) if hermitian else M
+    if not hermitian:
+        return M
+    M = hermitize(M)
+    try:
+        _eigh_pd(M, PD_TOL)
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(f"matrix file {path}: {exc}")
+    return M
 
 
 def save_matrix(M, path) -> None:
@@ -208,7 +218,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(fn=cmd_verify)
 
     p_count = sub.add_parser("count", help="tabulate LMI census against the size bounds")
-    p_count.add_argument("--qmax", type=int, default=64)
+    p_count.add_argument("--qmax", type=positive_int, default=64)
     p_count.set_defaults(fn=cmd_count)
     return parser
 

@@ -3,14 +3,19 @@
 A model is a list of Hermitian matrix variables, block LMI constraints
 whose entries are affine expressions in those variables, scalar linear
 constraints (normalized to ``f(x) >= 0``), and an optional linear
-objective.  Feasibility of an explicit assignment can be checked
-directly; ``realify`` turns a complex model into an equivalent real
-symmetric one suitable for the solver and for SDPA export.
+objective.  Each LMI is held in one sparse form, its `Slices`: a built
+LMI compiles them from its grid of terms once, on first use, and
+``import_sdpa`` makes them directly.  Feasibility of an explicit
+assignment can be checked directly; ``realify`` maps the slices of a
+complex model onto those of an equivalent real symmetric one, for the
+solver and for SDPA export.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +61,8 @@ def phi(M) -> np.ndarray:
     return np.concatenate([np.concatenate([R, -I], -1), np.concatenate([I, R], -1)], -2)
 
 
-def _herm_basis(d: int) -> list:
+def _herm_basis(d: int) -> np.ndarray:
+    """E_ii for each i, then E_ij + E_ji and i(E_ij - E_ji) for each i < j."""
     basis = []
     for i in range(d):
         E = np.zeros((d, d), dtype=complex)
@@ -66,26 +72,10 @@ def _herm_basis(d: int) -> list:
         for j in range(i + 1, d):
             E = np.zeros((d, d), dtype=complex)
             E[i, j] = E[j, i] = 1
-            basis.append(E)
             F = np.zeros((d, d), dtype=complex)
-            F[i, j] = 1j
-            F[j, i] = -1j
-            basis.append(F)
-    return basis
-
-
-def _sym_basis(d: int) -> list:
-    basis = []
-    for i in range(d):
-        E = np.zeros((d, d), dtype=complex)
-        E[i, i] = 1
-        basis.append(E)
-    for i in range(d):
-        for j in range(i + 1, d):
-            E = np.zeros((d, d), dtype=complex)
-            E[i, j] = E[j, i] = 1
-            basis.append(E)
-    return basis
+            F[i, j], F[j, i] = 1j, -1j
+            basis += [E, F]
+    return np.array(basis)
 
 
 _BASIS_CACHE: dict = {}
@@ -93,30 +83,25 @@ _BASIS_CACHE: dict = {}
 
 def var_basis(var: VarId) -> np.ndarray:
     """Coordinate basis matrices of a variable as one (k, dim, dim) stack
-    (cached per dim/kind)."""
+    (cached per dim/kind): a real variable's are the real ones of the
+    Hermitian basis, and a phi variable's their images under phi."""
     key = (var.dim, var.kind)
     if key not in _BASIS_CACHE:
-        if var.kind == "complex":
-            _BASIS_CACHE[key] = np.array(_herm_basis(var.dim))
-        elif var.kind == "real":
-            _BASIS_CACHE[key] = np.array(_sym_basis(var.dim))
-        elif var.kind == "phi":
-            if var.dim % 2:
-                raise DimensionMismatch("phi variables have even dimension")
-            _BASIS_CACHE[key] = phi(_herm_basis(var.dim // 2))
-        else:
+        if var.kind not in ("complex", "real", "phi"):
             raise TraceliftError(f"unknown variable kind {var.kind!r}")
+        if var.kind == "phi" and var.dim % 2:
+            raise DimensionMismatch("phi variables have even dimension")
+        herm = _herm_basis(var.dim // 2 if var.kind == "phi" else var.dim)
+        _BASIS_CACHE[key] = {"complex": herm, "real": herm[~herm.imag.any(axis=(1, 2))],
+                             "phi": phi(herm)}[var.kind]
     return _BASIS_CACHE[key]
 
 
 def var_coords(var: VarId, value: np.ndarray) -> np.ndarray:
     """Real coordinates of ``value`` in the variable's basis."""
     basis = var_basis(var)
-    out = np.empty(len(basis))
-    for k, E in enumerate(basis):
-        norm = np.trace(E @ E).real
-        out[k] = np.trace(E.conj().T @ value).real / norm
-    return out
+    norms = (np.abs(basis) ** 2).sum(axis=(1, 2))  # tr(E E) of Hermitian E
+    return np.tensordot(basis.conj(), value, axes=([1, 2], [0, 1])).real / norms
 
 
 def as_matrix(value, dim: int) -> np.ndarray:
@@ -211,38 +196,6 @@ class VarTerm:
         return VarTerm(self.var, c * self.coeff, self.op, self.kl, self.kr)
 
 
-class RealifiedTerm:
-    """Realified image of a complex-model variable term."""
-
-    def __init__(self, inner: VarTerm, var: VarId):
-        self.inner = inner
-        self.var = var
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.inner.dim
-
-    def images(self) -> np.ndarray:
-        """The images of the realified variable's basis matrices, as
-        (k, dim, dim)."""
-        return phi(self.inner.images())
-
-    def evaluate(self, assignment) -> np.ndarray:
-        Y = as_matrix(assignment[self.var], self.var.dim)
-        c = var_coords(self.var, Y)
-        out = np.zeros((self.dim, self.dim))
-        for ck, E in zip(c, self.images()):
-            if ck != 0.0:
-                out += ck * E
-        return out
-
-    def adjoint(self) -> "RealifiedTerm":
-        return RealifiedTerm(self.inner.adjoint(), self.var)
-
-    def scaled(self, c) -> "RealifiedTerm":
-        return RealifiedTerm(self.inner.scaled(c), self.var)
-
-
 class AffineBlock:
     """A real-linear combination of constants and variable terms."""
 
@@ -286,10 +239,45 @@ class AffineBlock:
         )
 
 
-class LmiConstraint:
-    """A 1x1 or 2x2 block grid constrained to be PSD as a block matrix."""
+class Slices(NamedTuple):
+    """An LMI G0 + sum_s x_s A_s >= 0, held sparse.
 
-    def __init__(self, grid, label: str = ""):
+    ``vars`` are its variables in coordinate order, and slice s belongs to
+    coordinate s of their bases taken in turn.  The nonzeros (A_s)_p = v,
+    with p a flat row-major position in G0, are the columns ``s``, ``p``
+    and ``v``, sorted by s and then by p.
+    """
+
+    G0: np.ndarray
+    vars: tuple
+    s: np.ndarray
+    p: np.ndarray
+    v: np.ndarray
+
+    def coords(self, offsets) -> np.ndarray:
+        """The model coordinate of each slice; ``offsets`` maps each variable
+        to its first coordinate, as ``SdpModel.coord_offsets`` gives it."""
+        return np.array([offsets[v] + k for v in self.vars for k in range(len(var_basis(v)))],
+                        dtype=int)
+
+
+class LmiConstraint:
+    """A PSD constraint on the real coordinates of its variables, held as
+    its `Slices`.
+
+    A built LMI is a 1x1 or 2x2 grid of affine blocks of one dimension.
+    It compiles its slices from the grid on first use and keeps them, so
+    that models built only to count their LMIs compile nothing.  An
+    imported or realified LMI is made from its slices; it has no grid and
+    counts as a single block.
+    """
+
+    def __init__(self, grid=None, label: str = "", slices: Slices | None = None):
+        self.label = label
+        self.grid, self._slices = None, slices
+        if grid is None:
+            self.rows, self.dim = 1, len(slices.G0)
+            return
         self.grid = tuple(tuple(row) for row in grid)
         self.rows = len(self.grid)
         if self.rows not in (1, 2) or any(len(r) != self.rows for r in self.grid):
@@ -299,80 +287,66 @@ class LmiConstraint:
             for blk in row:
                 if blk.dim != self.dim:
                     raise DimensionMismatch("grid blocks must share one dimension")
-        self.label = label
 
     @property
     def size(self) -> int:
         return self.rows * self.dim
 
     def vars(self) -> set:
-        out = set()
-        for row in self.grid:
-            for blk in row:
-                out |= blk.vars()
-        return out
+        if self.grid is None:
+            return set(self._slices.vars)
+        return set().union(*(blk.vars() for row in self.grid for blk in row))
 
     def assemble(self, assignment) -> np.ndarray:
-        return np.block(
-            [[blk.evaluate(assignment) for blk in row] for row in self.grid]
-        )
+        """The LMI's matrix at ``assignment``: evaluated from the grid's terms
+        where there is a grid, independently of the slices, else from them."""
+        if self.grid is not None:
+            return np.block(
+                [[blk.evaluate(assignment) for blk in row] for row in self.grid]
+            )
+        G0, vars, s, p, v = self._slices
+        x = np.concatenate([np.zeros(0)] + [
+            var_coords(u, as_matrix(assignment[u], u.dim)) for u in vars])
+        out = G0.astype(complex)
+        np.add.at(out.reshape(-1), p, x[s] * v)
+        return out
 
-    def slices(self, offsets) -> tuple:
-        """This LMI's constant part and coefficient slices.
+    def slices(self) -> Slices:
+        """The held slices; a built LMI compiles them on the first call."""
+        if self._slices is None:
+            self._slices = self._compile()
+        return self._slices
 
-        ``offsets`` maps each variable to its first real coordinate, as
-        ``SdpModel.coord_offsets`` gives it.  Returns ``(G0, idx, A)``: the
-        constant part, the coordinates of this LMI's variables in ascending
-        order, and the stack with ``A[p]`` the coefficient matrix of
-        coordinate ``idx[p]``.  Each variable term adds its ``images``, one
-        per basis matrix of its variable, into its grid slot of the rows of
-        that variable's coordinates with one ``+=``; each grid slot sums
-        its terms in order, starting from zero.
-        """
-        pos, idx = {}, []
-        for v in sorted(self.vars(), key=offsets.__getitem__):
-            pos[v] = len(idx)
-            idx.extend(range(offsets[v], offsets[v] + len(var_basis(v))))
-        d = self.dim
-        G0 = np.zeros((self.size, self.size), dtype=complex)
-        A = np.zeros((len(idx), self.size, self.size), dtype=complex)
+    def _compile(self) -> Slices:
+        """Slices of the grid: each grid slot sums its constants into G0 and
+        its terms' images of their variables' basis matrices into the
+        slices, in term order and starting from zero."""
+        vars = sorted(self.vars(), key=lambda v: v.index)  # the model's coordinate order
+        first = dict(zip(vars, accumulate([len(var_basis(v)) for v in vars], initial=0)))
+        d, n = self.dim, self.size
+        G0 = np.zeros((n, n), dtype=complex)
+        # entry (i, j) of image matrix q goes to slice s, position p, that is
+        # key s * n * n + p = start[q] + i * n + j
+        images, start = [np.zeros((0, d, d), dtype=complex)], []
         for r, row in enumerate(self.grid):
             for c, blk in enumerate(row):
-                slot = (slice(r * d, (r + 1) * d), slice(c * d, (c + 1) * d))
                 for t in blk.terms:
                     if t.var is None:
-                        G0[slot] += t.matrix
+                        G0[r * d:(r + 1) * d, c * d:(c + 1) * d] += t.matrix
                         continue
-                    p = pos[t.var]
-                    A[(slice(p, p + len(var_basis(t.var))),) + slot] += t.images()
-        return G0, np.array(idx, dtype=int), A
-
-
-class SlicedLmi:
-    """A PSD constraint G0 + sum_k x_k A[k] >= 0 held as its slices, over
-    scalar variables ``vars`` given in coordinate order: the form
-    ``import_sdpa`` reads a block into, so that ``slices`` forms nothing."""
-
-    def __init__(self, G0, vars, A, label: str = ""):
-        self.G0, self._vars, self.A, self.label = G0, tuple(vars), A, label
-
-    @property
-    def size(self) -> int:
-        return len(self.G0)
-
-    def vars(self) -> set:
-        return set(self._vars)
-
-    def assemble(self, assignment) -> np.ndarray:
-        out = self.G0.astype(complex)
-        for v, Ak in zip(self._vars, self.A):
-            out += as_matrix(assignment[v], 1)[0, 0] * Ak
-        return out
-
-    def slices(self, offsets) -> tuple:
-        """``(G0, idx, A)`` as ``LmiConstraint.slices`` gives them; the
-        arrays held, not copies."""
-        return self.G0, np.array([offsets[v] for v in self._vars], dtype=int), self.A
+                    images.append(t.images())
+                    key0 = (first[t.var] * n + r * d) * n + c * d
+                    start += range(key0, key0 + len(images[-1]) * n * n, n * n)
+        images = np.concatenate(images)
+        q, i, j = np.nonzero(images)  # in term order
+        keys, at = np.unique(np.array(start, dtype=int)[q] + i * n + j, return_inverse=True)
+        vals = images[q, i, j]
+        v = np.empty(len(keys), dtype=complex)
+        v.real = np.bincount(at, vals.real, len(keys))  # adds in term order
+        v.imag = np.bincount(at, vals.imag, len(keys))
+        nz = v != 0
+        s, p = np.divmod(keys[nz], n * n)
+        return Slices(G0, tuple(vars), s, p, v[nz])
 
 
 class LinearFunctional:
@@ -391,7 +365,7 @@ class LinearFunctional:
 
     def coeffs(self, offsets, m: int) -> np.ndarray:
         """Coefficients of all ``m`` real coordinates, with ``offsets`` as for
-        ``LmiConstraint.slices``."""
+        ``Slices.coords``."""
         out = np.zeros(m)
         for v, M in self.terms:
             for k, E in enumerate(var_basis(v)):
@@ -599,29 +573,24 @@ def _matrix_is_real(M, tol: float = 0.0) -> bool:
     return np.abs(np.asarray(M, dtype=complex).imag).max(initial=0.0) <= tol
 
 
+def _real_basis(var: VarId) -> np.ndarray:
+    """Which basis matrices of ``var`` are real; the others are imaginary."""
+    return ~var_basis(var).imag.any(axis=(1, 2))
+
+
 def model_is_real(model: SdpModel) -> bool:
-    """True when every constant, coefficient and functional is real."""
-
-    def term_real(t) -> bool:
-        if isinstance(t, ConstTerm):
-            return _matrix_is_real(t.matrix)
-        if isinstance(t, VarTerm):
-            return (
-                t.coeff.imag == 0
-                and (t.kl is None or _matrix_is_real(t.kl))
-                and (t.kr is None or _matrix_is_real(t.kr))
-            )
-        return False  # RealifiedTerm only occurs in realified models
-
+    """True when the coordinates with an imaginary basis matrix can be
+    dropped: every G0, functional and data matrix is real, and every slice
+    is real where its basis matrix is real and purely imaginary where it
+    is imaginary.  The LMIs' matrices then have real parts that do not
+    depend on those coordinates, and a Hermitian matrix is PSD only if its
+    real part is."""
+    real_basis = {v: _real_basis(v) for v in model.vars}
     for lmi in model.lmis:
-        if isinstance(lmi, SlicedLmi):
-            if not (_matrix_is_real(lmi.G0) and _matrix_is_real(lmi.A)):
-                return False
-            continue
-        for row in lmi.grid:
-            for blk in row:
-                if not all(term_real(t) for t in blk.terms):
-                    return False
+        G0, vars, s, p, v = lmi.slices()
+        real = np.concatenate([np.zeros(0, dtype=bool)] + [real_basis[u] for u in vars])
+        if not _matrix_is_real(G0) or np.where(real[s], np.imag(v), np.real(v)).any():
+            return False
     funcs = [sc.functional for sc in model.scalars]
     if model.objective is not None:
         funcs.append(model.objective.functional)
@@ -631,16 +600,43 @@ def model_is_real(model: SdpModel) -> bool:
     return all(_matrix_is_real(M) for M in model.data.values())
 
 
-def realify(model: SdpModel, force_embed: bool = False):
+def _realify_slices(lmi: LmiConstraint, var_map, embed: bool) -> Slices:
+    """The slices of ``lmi``'s realified counterpart.  Embedded, each d x d
+    grid slot of G0 and of every slice maps to its 2d x 2d image under phi.
+    Otherwise only the coordinates with a real basis matrix remain, with
+    the real parts of their slices."""
+    G0, vars, s, p, v = lmi.slices()
+    new_vars = tuple(var_map[u] for u in vars)
+    if not embed:
+        # the slices of imaginary basis matrices are imaginary (model_is_real)
+        real = np.concatenate([np.zeros(0, dtype=bool)] + [_real_basis(u) for u in vars])
+        e = v.real != 0
+        return Slices(G0.real.copy(), new_vars, (np.cumsum(real) - 1)[s[e]], p[e], v.real[e])
+    rows, d, n = lmi.rows, lmi.dim, 2 * lmi.size
+    G0 = phi(G0.reshape(rows, d, rows, d).swapaxes(1, 2)).swapaxes(1, 2).reshape(n, n)
+    # entry (R, C), in slot (R // d, C // d), lands at (R + R // d * d, C + C // d * d)
+    # of the doubled grid; its image under phi adds d to the row, the column or both
+    R, C = np.divmod(p, lmi.size)
+    first = (s * n + R + R // d * d) * n + C + C // d * d
+    keys = np.concatenate([first, first + d, first + d * n, first + d * n + d])
+    vals = np.concatenate([v.real, -v.imag, v.imag, v.real])
+    e = vals != 0
+    order = np.argsort(keys[e])
+    s, p = np.divmod(keys[e][order], n * n)
+    return Slices(G0, new_vars, s, p, vals[e][order])
+
+
+def realify(model: SdpModel):
     """Return an equivalent real model and the variable correspondence.
 
-    For a purely real model the transformation keeps dimensions and just
-    re-tags variables as real symmetric.  Otherwise every complex
-    Hermitian object of dimension d is embedded as the real symmetric
-    2d x 2d matrix [[Re, -Im], [Im, Re]]; trace functionals pick up a
-    factor 1/2 so optimal values are unchanged.  Variables of dimension 1
-    or of kind ``real`` stay real symmetric of their own dimension; their
-    terms still map into the embedded blocks.
+    For a real model (see `model_is_real`) dimensions stay and variables
+    are re-tagged real symmetric, keeping only the coordinates with a real
+    basis matrix.  Otherwise every complex Hermitian object of dimension d
+    is embedded as the real symmetric 2d x 2d matrix [[Re, -Im], [Im, Re]],
+    one grid slot at a time; trace functionals pick up a factor 1/2 so
+    optimal values are unchanged.  Variables of dimension 1 or of kind
+    ``real`` stay real symmetric of their own dimension.  The LMIs are
+    mapped from their slices; no term is formed.
 
     Returns ``(realified_model, var_map)`` with ``var_map`` mapping each
     original variable to its realified counterpart.
@@ -648,7 +644,7 @@ def realify(model: SdpModel, force_embed: bool = False):
     if model.realified:
         return model, {v: v for v in model.vars}
 
-    embed = force_embed or not model_is_real(model)
+    embed = not model_is_real(model)
     var_map = {}
     for v in model.vars:
         if embed and v.dim > 1 and v.kind != "real":
@@ -656,32 +652,8 @@ def realify(model: SdpModel, force_embed: bool = False):
         else:
             var_map[v] = VarId(v.index, v.dim, v.name, "real")
 
-    def map_term(t):
-        if isinstance(t, ConstTerm):
-            if embed:
-                return ConstTerm(phi(t.matrix))
-            return ConstTerm(t.matrix.real.astype(complex))
-        assert isinstance(t, VarTerm)
-        nv = var_map[t.var]
-        if not embed:
-            return VarTerm(nv, t.coeff.real, t.op, t.kl, t.kr)
-        if t.var.dim == 1:
-            # scalar variable times a constant matrix: fold everything
-            # into one real Kronecker factor
-            eff = t._map(np.eye(1, dtype=complex))
-            return VarTerm(nv, 1.0, "id", kl=phi(eff))
-        return RealifiedTerm(t, nv)
-
-    def map_block(blk: AffineBlock) -> AffineBlock:
-        d = 2 * blk.dim if embed else blk.dim
-        return AffineBlock(d, [map_term(t) for t in blk.terms])
-
-    lmis = [
-        LmiConstraint(
-            [[map_block(blk) for blk in row] for row in lmi.grid], lmi.label
-        )
-        for lmi in model.lmis
-    ]
+    lmis = [LmiConstraint(label=lmi.label, slices=_realify_slices(lmi, var_map, embed))
+            for lmi in model.lmis]
 
     def map_functional(f: LinearFunctional) -> LinearFunctional:
         terms = []

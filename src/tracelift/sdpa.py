@@ -21,10 +21,11 @@ import numpy as np
 from .errors import ComplexDataError, IoError, NotRealified, SdpaParseError
 from .model import (
     LinearFunctional,
+    LmiConstraint,
     Objective,
     ScalarConstraint,
     SdpModel,
-    SlicedLmi,
+    Slices,
     VarId,
 )
 
@@ -73,12 +74,15 @@ def export_sdpa(model: SdpModel, path) -> None:
     sizes = [lmi.size for lmi in model.lmis]
     parts = []
     for bno, lmi in enumerate(model.lmis, start=1):
-        G0, idx, A = lmi.slices(offsets)
+        sl = lmi.slices()
         rows, cols = np.triu_indices(lmi.size)
-        F0 = _real_or_raise(-G0, f"matrix 0, block {bno}")
+        F0 = _real_or_raise(-sl.G0, f"matrix 0, block {bno}")
         parts.append(_entries(np.zeros(1, dtype=int), bno, F0[None, rows, cols], rows, cols))
-        A = _real_or_raise(A, f"block {bno}")
-        parts.append(_entries(idx + 1, bno, A[:, rows, cols], rows, cols))
+        # the held nonzeros in the upper triangle, already in slice and row-major order
+        i, j = np.divmod(sl.p, lmi.size)
+        up = i <= j
+        parts.append((sl.coords(offsets)[sl.s[up]] + 1, np.full(up.sum(), bno), i[up] + 1, j[up] + 1,
+                      _real_or_raise(sl.v[up], f"block {bno}")))
     if model.scalars:
         sizes.append(-len(model.scalars))
         bno, diag = len(sizes), np.arange(len(model.scalars))
@@ -174,10 +178,12 @@ def import_sdpa(path) -> SdpModel:
     """Read an SDPA sparse file as a realified model over scalar variables.
 
     The result is a flat model: one real scalar variable per SDPA
-    variable, one `SlicedLmi` per PSD block, holding the matrices that
-    occur in that block, and one scalar constraint per row of each
-    diagonal block.  An objective constant line, as `export_sdpa` writes
-    it, is read back.  Re-exporting reproduces the file.
+    variable, one LMI per PSD block, made from its slices: G0 = -F0 and the
+    nonzeros of the matrices that occur in the block, taken from the
+    entry columns with no dense stack formed; and one scalar constraint
+    per row of each diagonal block.  An objective constant line, as
+    `export_sdpa` writes it, is read back.  Re-exporting reproduces the
+    file.
     """
     try:
         with open(path) as fh:
@@ -243,19 +249,28 @@ def import_sdpa(path) -> SdpModel:
     starts = np.searchsorted(blk[order], np.arange(nblocks + 1))
     for bi, size in enumerate(sizes):
         e = order[starts[bi]:starts[bi + 1]]
-        # one stack per block: F0, then the matrices occurring in it
-        mats = np.union1d(0, matno[e])
-        s = np.searchsorted(mats, matno[e])
-        F = np.zeros((len(mats), abs(size), abs(size)))
-        F[s, i[e], j[e]] = F[s, j[e], i[e]] = val[e]
-        if size > 0:  # G0 = -F0; 0.0 - F0 leaves its zeros unsigned
-            lmis.append(SlicedLmi(0.0 - F[0], [xs[k - 1] for k in mats[1:]], F[1:],
-                                  label=f"block {bi + 1}"))
+        mats = np.union1d(0, matno[e])  # F0, then the matrices occurring in the block
+        s, ie, je, ve = np.searchsorted(mats, matno[e]), i[e], j[e], val[e]
+        label = f"block {bi + 1}"
+        if size < 0:  # a diagonal block: one scalar constraint per row
+            D = np.zeros((len(mats), -size))
+            D[s, ie] = ve
+            for r in range(-size):
+                terms = [(xs[k - 1], [[a]]) for k, a in zip(mats[1:], D[1:, r]) if a != 0.0]
+                scalars.append(ScalarConstraint(
+                    LinearFunctional(-D[0, r], terms), label=f"{label} row {r + 1}"))
             continue
-        for r in range(-size):
-            terms = [(xs[k - 1], [[a]]) for k, a in zip(mats[1:], F[1:, r, r]) if a != 0.0]
-            scalars.append(ScalarConstraint(
-                LinearFunctional(-F[0, r, r], terms), label=f"block {bi + 1} row {r + 1}"))
+        f0 = s == 0
+        G0 = np.zeros((size, size))
+        G0[ie[f0], je[f0]] = G0[je[f0], ie[f0]] = -ve[f0]
+        # the coefficient nonzeros: each entry at (i, j), and off the diagonal at (j, i) too
+        keep = np.concatenate([~f0, ~f0 & (ie != je)])
+        keys = np.concatenate([((s - 1) * size + ie) * size + je,
+                               ((s - 1) * size + je) * size + ie])[keep]
+        by_key = np.argsort(keys)
+        sk, p = np.divmod(keys[by_key], size * size)
+        lmis.append(LmiConstraint(label=label, slices=Slices(
+            G0, tuple(xs[k - 1] for k in mats[1:]), sk, p, np.concatenate([ve, ve])[keep][by_key])))
     terms = [(xs[k], [[-ck]]) for k, ck in enumerate(c) if ck != 0.0]
     objective = Objective("maximize", LinearFunctional(constant, terms))
     return SdpModel(xs, lmis, scalars, objective, {}, realified=True)

@@ -16,17 +16,18 @@ term, in the NT-scaled form of Todd, Toh and Tutuncu (1998).  A corrector
 step that raises the primal infeasibility, which only rounding can do, is
 replaced by the corrector without that term and then by a pure centring
 step; once the gap has closed, every step is a centring step.  Complex
-models are realified first; solutions are mapped back to the original
-variables.
+models are realified first; each original variable's value is then the
+combination of the basis matrices its realified variable keeps.
 
-The coefficient slices A_k are kept sparse: every one is a single basis
-element in one grid slot, a handful of nonzeros in a block of a few
-dozen rows, so traces, linear combinations and the Schur complement
-are computed from those nonzeros.  Blocks of one shape are stacked and
-each numpy call covers a stack; sums over blocks still run in model
-order, so solves are bit-identical to block-by-block ones.  The iterates
-X, S and the Schur complement M itself are dense -- intended for the
-small block sizes these constructions produce, not for large-scale work.
+The coefficient slices A_k are read from each LMI's held sparse form
+(`model.Slices`): every one is a single basis element in one grid slot,
+a handful of nonzeros in a block of a few dozen rows, so traces, linear
+combinations and the Schur complement are computed from those nonzeros.
+Blocks of one shape are stacked and each numpy call covers a stack;
+sums over blocks still run in model order, so solves are bit-identical
+to block-by-block ones.  The iterates X, S and the Schur complement M
+itself are dense -- intended for the small block sizes these
+constructions produce, not for large-scale work.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 from .model import (
     SdpModel,
     WitnessAssignment,
-    as_matrix,
     realify,
     var_basis,
 )
@@ -163,21 +163,17 @@ class _Stack:
 class _Blocks:
     """A realified model's PSD blocks, packed and stacked by shape.
 
-    Built from the dense (G0, idx, A) of each block in model order; each
-    is packed as it arrives, so a generator can let its dense A go before
-    it builds the next.  Every sum over blocks and every scatter into
-    coordinates runs in block order, as a block-by-block loop adds.
+    Built from the held slices of each block in model order: G0, the
+    coordinate idx[k] of each slice k, and the nonzeros (A_k)_p = v as
+    columns (k, p, v) sorted by k and then p, as `model.Slices` holds
+    them.  Every sum over blocks and every scatter into coordinates runs
+    in block order, as a block-by-block loop adds.
     """
 
-    def __init__(self, dense):
+    def __init__(self, held):
         shapes, n = {}, 0
-        for G0, idx, A in dense:
+        for G0, idx, k, p, v in held:
             d = len(G0)
-            flat = A.real.reshape(len(A), d * d)
-            del A
-            k, p = np.nonzero(flat != 0)  # one scan; grouped by slice, columns ascending
-            v = flat[k, p]
-            del flat
             has = np.bincount(k, minlength=len(idx)) > 0  # all-zero slices are dropped
             k = (np.cumsum(has) - 1)[k]
             na = int(has.sum())
@@ -186,7 +182,7 @@ class _Blocks:
             up = i <= j  # the upper triangle, off-diagonal values doubled
             upos, uval = _pack(k[up], p[up], np.where(i < j, 2.0, 1.0)[up] * v[up], na)
             shapes.setdefault((d,) + pos.shape + upos.shape, []).append(
-                (n, G0.real, np.asarray(idx)[has], pos, val, upos, uval))
+                (n, G0, np.asarray(idx)[has], pos, val, upos, uval))
             n += 1
         self.stacks = stacks = [_Stack(group) for group in shapes.values()]
         self._perm = np.argsort(np.concatenate([s.order for s in stacks]))
@@ -245,14 +241,13 @@ def _assemble(model: SdpModel):
     flip = -1.0 if obj.sense == "minimize" else 1.0
     b = flip * obj.functional.coeffs(offsets, m)
 
-    def dense():
-        for lmi in model.lmis:
-            yield lmi.slices(offsets)
-        for sc in model.scalars:
-            f = sc.functional
-            yield np.array([[f.constant]]), np.arange(m), f.coeffs(offsets, m)[:, None, None]
-
-    return b, _Blocks(dense())
+    held = [(sl.G0, sl.coords(offsets), sl.s, sl.p, sl.v)
+            for sl in (lmi.slices() for lmi in model.lmis)]
+    for sc in model.scalars:
+        c = sc.functional.coeffs(offsets, m)
+        k = np.flatnonzero(c)
+        held.append((np.array([[sc.functional.constant]]), np.arange(m), k, np.zeros_like(k), c[k]))
+    return b, _Blocks(held)
 
 
 def _sym(M):
@@ -517,8 +512,7 @@ def _solve_canonical(b, blocks: _Blocks, opts: SolveOptions, tau_mul: float, fra
 def solve(model: SdpModel, options: SolveOptions | None = None) -> SolveResult:
     """Solve a model; complex models are realified transparently."""
     opts = options or SolveOptions()
-    original_vars = model.vars
-    work, var_map = realify(model, force_embed=False) if not model.realified else (model, None)
+    work, var_map = realify(model)
     b, blocks = _assemble(work)
 
     # a short ladder of starting points and step fractions: the default
@@ -548,31 +542,17 @@ def solve(model: SdpModel, options: SolveOptions | None = None) -> SolveResult:
         )
     status, y, X, gap, pinf, dinf, iters = best
 
-    # recover realified variable values from y
-    values_real = WitnessAssignment()
-    j = 0
-    for v in work.vars:
-        basis = var_basis(v)
+    # each variable's value: sum_k y_k E_k over the basis matrices that its
+    # realified variable keeps, all of them when embedded by phi, else its
+    # own basis, the real matrices of the variable's
+    offsets = work.coord_offsets()[0]
+    values = WitnessAssignment()
+    for v in model.vars:
+        nv = var_map[v]
         val = np.zeros((v.dim, v.dim), dtype=complex)
-        for k in range(len(basis)):
-            val = val + y[j + k] * basis[k]
-        j += len(basis)
-        values_real[v] = val.real.astype(float)
-
-    if var_map is None:
-        values = values_real
-    else:
-        values = WitnessAssignment()
-        for v in original_vars:
-            nv = var_map[v]
-            Y = values_real[nv]
-            if nv.kind == "phi":
-                d = v.dim
-                values[v] = (
-                    (Y[:d, :d] + Y[d:, d:]) / 2 + 1j * (Y[d:, :d] - Y[:d, d:]) / 2
-                )
-            else:
-                values[v] = as_matrix(Y, v.dim).astype(complex)
+        for yk, E in zip(y[offsets[nv]:], var_basis(v if nv.kind == "phi" else nv)):
+            val = val + yk * E
+        values[v] = val.real if model.realified else val
 
     objective = None
     if status == "optimal":

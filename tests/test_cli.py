@@ -52,6 +52,21 @@ class TestEmit:
                    "--out", str(tmp_path / "m.dat-s")])
         assert rc == 2
 
+    @pytest.mark.parametrize("function, slot", [
+        ("lieb", "A"), ("geomean", "A"), ("tsallis", "A"), ("fidelity", "B"), ("multivariate", "mats"),
+    ])
+    def test_not_positive_definite_exit_2(self, tmp_path, capsys, function, slot):
+        # as eval and verify do, emit rejects a Hermitian input that is not PD
+        bad, out = tmp_path / "bad.json", tmp_path / "m.dat-s"
+        save_matrix(np.diag([-1.0, 1.0]), bad)
+        files = ",".join([str(bad)] * 3) if slot == "mats" else str(bad)
+        params = ["--t", "1/3"] if function in ("lieb", "geomean") else PARAMS[function]
+        rc = main(["emit", "--function", function, *params, f"--{slot}", files, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(bad) in err and "not positive definite" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file_exit_3(self, tmp_path):
         rc = main(["emit", "--function", "geomean", "--t", "1/2",
                    "--A", str(tmp_path / "nope.json"),
@@ -102,6 +117,14 @@ class TestCount:
         assert rc == 0
         out = capsys.readouterr().out
         assert "within bounds" in out
+
+
+    @pytest.mark.parametrize("qmax", ["0", "-3"])
+    def test_qmax_below_one_exit_2(self, qmax, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--qmax", qmax])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
 
 class TestMatrixIo:

@@ -5,10 +5,12 @@ import pytest
 
 from tracelift.errors import MissingAssignment, NoObjective
 from tracelift.instances import random_pd
+from tracelift.sdpa import export_sdpa
 from tracelift.solver import _assemble, solve
 from tracelift.model import (
     AffineBlock,
     LinearFunctional,
+    LmiConstraint,
     ModelBuilder,
     WitnessAssignment,
     check_feasible,
@@ -70,11 +72,13 @@ class TestPhi:
     def test_var_coords_round_trip(self, rng):
         from tracelift.model import VarId
 
-        v = VarId(0, 3, "T", "complex")
         X = random_pd(3, rng)
-        c = var_coords(v, X)
-        back = sum(ck * E for ck, E in zip(c, var_basis(v)))
-        assert np.abs(back - X).max() < 1e-12
+        for v, value in [(VarId(0, 3, "T", "complex"), X), (VarId(0, 3, "T", "real"), X.real),
+                         (VarId(0, 6, "T", "phi"), phi(X))]:
+            c = var_coords(v, value)
+            assert c.shape == (len(var_basis(v)),)
+            back = sum(ck * E for ck, E in zip(c, var_basis(v)))
+            assert np.abs(back - value).max() < 1e-12
 
 
 class TestCheckFeasible:
@@ -104,11 +108,17 @@ class TestRealify:
         assert rm.realified
         assert rm.lmi_census() == [(6, 1)]
 
-    def test_force_embed_doubles(self, pd_pair_real):
+    def test_solve_recovers_real_model_values(self, pd_pair_real):
+        # the realified real model keeps only the coordinates with a real
+        # basis matrix, and solve maps its solution back over those: the
+        # optimal Z is the geometric mean A # B
+        from tracelift.kernel import geometric_mean
+
         A, B = pd_pair_real
-        model, _ = two_block_model(A, B)
-        rm, _ = realify(model, force_embed=True)
-        assert rm.lmi_census() == [(12, 1)]
+        model, Z = two_block_model(A, B)
+        res = solve(model)
+        assert res.ok
+        assert np.abs(res.var_values[Z] - geometric_mean(A, B, 0.5)).max() < 1e-4
 
     def test_complex_model_embeds(self, pd_pair):
         A, B = pd_pair
@@ -156,12 +166,48 @@ class TestRealify:
         assert abs(rm.objective.functional.evaluate(embedded) - v1) < 1e-12
         assert abs(res.objective - v1) < 1e-12
 
+    def test_imaginary_coefficient_on_real_data(self, pd_pair_real, rng):
+        # [[A, iZ], [-iZ, B]] with real A and B: the slices of Z's real basis
+        # matrices are imaginary, so the model is not real and embeds, and
+        # phi of each grid slot doubles the spectrum
+        A, B = pd_pair_real
+        b = ModelBuilder()
+        Z = b.fresh_var("T", 3)
+        b.add_lmi2(AffineBlock.constant(A), AffineBlock.of_var(Z, coeff=1j), AffineBlock.constant(B))
+        b.set_objective("maximize", LinearFunctional(0.0, [(Z, np.eye(3))]))
+        model = b.freeze()
+        assert not model_is_real(model)
+        rm, var_map = realify(model)
+        assert rm.lmi_census() == [(12, 1)] and var_map[Z].kind == "phi"
+        wit = WitnessAssignment({Z: 0.2 * random_pd(3, rng)})
+        want = np.repeat(np.linalg.eigvalsh(model.lmis[0].assemble(wit)), 2)
+        got = np.linalg.eigvalsh(rm.lmis[0].assemble(embed_witness(var_map, wit)))
+        assert np.abs(got - want).max() < 1e-12
+
     def test_realify_idempotent(self, pd_pair):
         A, B = pd_pair
         model, _ = two_block_model(A, B)
         rm, _ = realify(model)
         rm2, _ = realify(rm)
         assert rm2 is rm
+
+
+class TestHeldSlices:
+    def test_compiled_once(self, pd_pair, tmp_path, monkeypatch):
+        # counting LMIs compiles nothing; realify compiles each LMI once, and
+        # a solve and then an export of the realified model read the slices
+        # it holds
+        calls = []
+        compile_ = LmiConstraint._compile
+        monkeypatch.setattr(LmiConstraint, "_compile", lambda lmi: calls.append(lmi) or compile_(lmi))
+        model, _ = two_block_model(*pd_pair)
+        assert model.lmi_census() == [(6, 1)] and calls == []
+        rm, _ = realify(model)
+        held = [lmi.slices() for lmi in rm.lmis]
+        assert solve(model).ok and solve(rm).ok
+        export_sdpa(rm, tmp_path / "m.dat-s")
+        assert calls == list(model.lmis)
+        assert all(lmi.slices() is sl for lmi, sl in zip(rm.lmis, held))
 
 
 class TestSchurEquivalence:

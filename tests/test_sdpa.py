@@ -11,8 +11,7 @@ from tracelift.lieb import (
     build_kron_power, build_lieb, build_multivariate, build_tsallis_entropy, build_upsilon,
 )
 from tracelift.model import (
-    AffineBlock, LinearFunctional, ModelBuilder, RealifiedTerm, model_is_real, phi, realify,
-    var_basis,
+    AffineBlock, LinearFunctional, ModelBuilder, model_is_real, phi, realify, var_basis,
 )
 from tracelift.sdpa import export_sdpa, import_sdpa
 from tracelift.solver import solve
@@ -192,7 +191,7 @@ class TestImported:
         point = dict(zip(model.vars, y))
         offsets = source.coord_offsets()[0]
         for lmi, src in zip(model.lmis, source.lmis):
-            G0, idx, A = src.slices(offsets)
+            G0, idx, A = dense(src.slices(), offsets)
             want = G0 + sum(y[k] * Ak for k, Ak in zip(idx, A))
             assert np.allclose(lmi.assemble(point), want, rtol=0, atol=1e-13)
 
@@ -204,7 +203,7 @@ class TestImported:
         path = tmp_path / "m.dat-s"
         path.write_text("1\n2\n2 -1\n1.0\n")
         model = import_sdpa(path)
-        G0, idx, A = model.lmis[0].slices(model.coord_offsets()[0])
+        G0, idx, A = dense(model.lmis[0].slices(), model.coord_offsets()[0])
         assert not G0.any() and idx.size == 0 and A.shape == (0, 2, 2)
         assert model.scalars[0].functional.constant == 0.0
 
@@ -241,8 +240,6 @@ class TestScalarBlocks:
 def coord_image(t, k):
     """Term t's image of basis matrix k of its variable, formed here with
     numpy's own kron rather than through the term's methods."""
-    if isinstance(t, RealifiedTerm):
-        return phi(coord_image(t.inner, k))
     E = var_basis(t.var)[k]
     E = E.conj() if t.op == "conj" else E
     if t.kl is not None:
@@ -252,18 +249,43 @@ def coord_image(t, k):
     return t.coeff * E
 
 
-def oracle_slices(lmi, offsets):
-    """Per-coordinate reference for LmiConstraint.slices: an np.block of the
-    summed constant terms, and one of the summed coord_image(t, k) per
-    coordinate."""
+def dense(sl, offsets):
+    """Held slices made dense: G0, the coordinate of each slice, and the
+    stack of slices; the held columns must be sorted and hold nonzeros."""
+    n = len(sl.G0)
+    assert np.all(np.diff(sl.s * n * n + sl.p) > 0) and np.all(sl.v != 0)
+    idx = sl.coords(offsets)
+    A = np.zeros((len(idx), n * n), dtype=sl.v.dtype)
+    A[sl.s, sl.p] = sl.v
+    return sl.G0, idx, A.reshape(len(idx), n, n)
+
+
+def oracle_slices(lmi, offsets, realified=None):
+    """Per-coordinate reference for the slices of a built LMI: an np.block
+    of each grid slot's summed constant terms, and one of its summed
+    coord_image(t, k) per coordinate.
+
+    With ``realified`` = (var_map, offsets, embed), the reference for the
+    LMI that realify makes of it: each slot's sum goes through phi when
+    embedded and keeps its real part when not, and only the coordinates of
+    the realified variables remain: all of an embedded model's, and those
+    with a real basis matrix of a real model's."""
+    var_map, new_offsets, embed = realified or ({v: v for v in offsets}, offsets, None)
+    part = {None: lambda M: M, True: phi, False: lambda M: M.real}[embed]
     zero = np.zeros((lmi.dim, lmi.dim), dtype=complex)
-    G0 = np.block([[sum((t.matrix for t in blk.terms if t.var is None), zero)
-                    for blk in row] for row in lmi.grid])
-    coords = [(v, k) for v in sorted(lmi.vars(), key=lambda u: offsets[u])
-              for k in range(len(var_basis(v)))]
-    A = [np.block([[sum((coord_image(t, k) for t in blk.terms if t.var == v), zero)
-                    for blk in row] for row in lmi.grid]) for v, k in coords]
-    return G0, [offsets[v] + k for v, k in coords], A
+
+    def block(image):
+        return np.block([[part(sum((image(t) for t in blk.terms), zero)) for blk in row]
+                         for row in lmi.grid])
+
+    G0 = block(lambda t: t.matrix if t.var is None else zero)
+    idx, A = [], []
+    for v in sorted(lmi.vars(), key=lambda u: offsets[u]):
+        kept = [k for k, E in enumerate(var_basis(v)) if embed is not False or not E.imag.any()]
+        for pos, k in enumerate(kept):
+            idx.append(new_offsets[var_map[v]] + pos)
+            A.append(block(lambda t: coord_image(t, k) if t.var == v else zero))
+    return G0, idx, A
 
 
 def oracle_coeffs(f, offsets, m):
@@ -276,29 +298,31 @@ def oracle_coeffs(f, offsets, m):
 
 
 def complex_geomean(rng, tmp_path):
-    return realify(geo_model(rng, t="8/13", complex_=True))[0]
+    return geo_model(rng, t="8/13", complex_=True)
 
 
 def complex_geomean_unrealified(rng, tmp_path):
     return geo_model(rng, t="-1/2", complex_=True)
 
 
+def real_geomean(rng, tmp_path):
+    return geo_model(rng, t="8/13")
+
+
 def lieb_scalar(rng, tmp_path):
     K = random_matrix(2, 3, rng)
-    return realify(build_lieb(K, random_pd(2, rng), random_pd(3, rng),
-                              RationalExponent(1, 3)).model)[0]
+    return build_lieb(K, random_pd(2, rng), random_pd(3, rng), RationalExponent(1, 3)).model
 
 
 def kron_power(rng, tmp_path):
     A, B = random_pd(2, rng), random_pd(2, rng)
-    return realify(build_kron_power(A, B, RationalExponent(1, 2),
-                                    RationalExponent(1, 3)).model)[0]
+    return build_kron_power(A, B, RationalExponent(1, 2), RationalExponent(1, 3)).model
 
 
 def upsilon_conj_left(rng, tmp_path):
     # the term I (x) conj(X): a left Kronecker factor on a conjugated variable
     K = random_matrix(2, 3, rng)
-    return realify(build_upsilon(K, random_pd(2, rng), RationalExponent(1, 2)).model)[0]
+    return build_upsilon(K, random_pd(2, rng), RationalExponent(1, 2)).model
 
 
 def multivariate_right(rng, tmp_path):
@@ -317,12 +341,12 @@ def repeated_terms(rng, tmp_path):
     z = AffineBlock.of_var(X) + AffineBlock.of_var(X, coeff=0.5j, op="conj")
     b.add_lmi2(p, z, AffineBlock.constant(A) - AffineBlock.of_var(X))
     b.set_objective("maximize", LinearFunctional(0.0, [(X, np.eye(2))]))
-    return realify(b.freeze())[0]
+    return b.freeze()
 
 
 def imported_lieb(rng, tmp_path):
-    # an imported model, and the model it was exported from
-    source = lieb_scalar(rng, tmp_path)
+    # an imported model, and the realified model it was exported from
+    source = realify(lieb_scalar(rng, tmp_path))[0]
     export_sdpa(source, tmp_path / "m.dat-s")
     return import_sdpa(tmp_path / "m.dat-s"), source
 
@@ -330,24 +354,43 @@ def imported_lieb(rng, tmp_path):
 def source_slices(source, k):
     """Reference for the slices of block k of an imported model: those of
     the LMI it was exported from, all-zero slices dropped."""
-    G0, idx, A = source.lmis[k].slices(source.coord_offsets()[0])
+    G0, idx, A = dense(source.lmis[k].slices(), source.coord_offsets()[0])
     keep = A.reshape(len(A), -1).any(axis=1)
     return G0, idx[keep].tolist(), A[keep]
+
+
+# the makers whose built model is compared after realify
+REALIFIED = (complex_geomean, real_geomean, lieb_scalar, kron_power, repeated_terms,
+             upsilon_conj_left)
 
 
 class TestSlices:
     @pytest.mark.parametrize("make", [
         complex_geomean, complex_geomean_unrealified, lieb_scalar, kron_power, repeated_terms,
-        imported_lieb, upsilon_conj_left, multivariate_right,
+        imported_lieb, upsilon_conj_left, multivariate_right, real_geomean,
     ])
     def test_equal_to_per_coordinate_oracle(self, rng, tmp_path, make):
+        # the held slices, made dense here, against a reference formed one
+        # coordinate at a time: from the LMI's own grid, from the grid of
+        # the LMI it was realified from, or for an imported model from the
+        # LMI it was exported from
         model = make(rng, tmp_path)
-        model, source = model if make is imported_lieb else (model, None)
+        source, var_map = None, None
+        if make is imported_lieb:
+            model, source = model
+        elif make in REALIFIED:
+            source, (model, var_map) = model, realify(model)
         offsets, m = model.coord_offsets()
+        embed = any(lmi.size > src.size for lmi, src in zip(model.lmis, source.lmis)) if var_map else None
         for k, lmi in enumerate(model.lmis):
-            G0, idx, A = lmi.slices(offsets)
-            want_G0, want_idx, want_A = (oracle_slices(lmi, offsets) if source is None
-                                         else source_slices(source, k))
+            G0, idx, A = dense(lmi.slices(), offsets)
+            if make is imported_lieb:
+                want_G0, want_idx, want_A = source_slices(source, k)
+            elif var_map is None:
+                want_G0, want_idx, want_A = oracle_slices(lmi, offsets)
+            else:
+                want_G0, want_idx, want_A = oracle_slices(
+                    source.lmis[k], source.coord_offsets()[0], (var_map, offsets, embed))
             assert np.array_equal(G0, want_G0)
             assert idx.tolist() == want_idx
             assert np.array_equal(A, np.array(want_A).reshape(A.shape))
@@ -356,3 +399,5 @@ class TestSlices:
             assert np.array_equal(f.coeffs(offsets, m), oracle_coeffs(f, offsets, m))
         if make in (lieb_scalar, imported_lieb):
             assert model.scalars
+        if make in REALIFIED:
+            assert embed is (make is not real_geomean)

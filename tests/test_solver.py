@@ -327,15 +327,25 @@ class TestResultContents:
 
 
 def dense_slices(model):
-    """The dense (G0, idx, A) stacks that _assemble packs, in model order:
-    one per LMI, then a 1x1 block per scalar constraint."""
+    """The held slices that _assemble packs, made dense as (G0, idx, A), in
+    model order: one per LMI, then a 1x1 block per scalar constraint."""
     offsets, m = model.coord_offsets()
     for lmi in model.lmis:
-        G0, idx, A = lmi.slices(offsets)
-        yield G0.real, idx, A.real
+        sl = lmi.slices()
+        idx, n = sl.coords(offsets), len(sl.G0)
+        A = np.zeros((len(idx), n * n))
+        A[sl.s, sl.p] = sl.v
+        yield sl.G0, idx, A.reshape(-1, n, n)
     for sc in model.scalars:
         f = sc.functional
         yield np.array([[f.constant]]), np.arange(m), f.coeffs(offsets, m)[:, None, None]
+
+
+def held(dense):
+    """Dense (G0, idx, A) blocks as the held columns _Blocks reads."""
+    for G0, idx, A in dense:
+        k, p = np.nonzero(A.reshape(len(A), -1))
+        yield G0, idx, k, p, A.reshape(len(A), -1)[k, p]
 
 
 def assert_close(got, want):
@@ -380,7 +390,7 @@ class TestSparseBlock:
         else:
             K = random_matrix(2, 3, rng)
             model = build_lieb(K, random_pd(2, rng), random_pd(3, rng), RationalExponent(1, 3)).model
-        model, _ = realify(model, force_embed=False)
+        model, _ = realify(model)
         _, blocks = _assemble(model)
         assert any(len(s.order) > 1 for s in blocks.stacks)
         if make == "lieb":
@@ -399,7 +409,7 @@ class TestSparseBlock:
         A[3] = R + R.T
         narrow = np.eye(3)[[0, 1, 2, 0]][:, None] * np.eye(3)
         dense = [(np.eye(3), np.array([5, 2, 7, 0]), A), (2 * np.eye(3), np.arange(4), narrow)]
-        blocks = _Blocks(iter(dense))
+        blocks = _Blocks(held(dense))
         assert [s.order.tolist() for s in blocks.stacks] == [[0], [1]]
         s = blocks.stacks[0]
         assert s.idx.tolist() == [[5, 2, 0]]
@@ -408,7 +418,7 @@ class TestSparseBlock:
 
     def test_all_zero_slices(self, rng):
         dense = [(np.eye(3), np.array([0, 1]), np.zeros((2, 3, 3)))]
-        blocks = _Blocks(iter(dense))
+        blocks = _Blocks(held(dense))
         assert blocks.stacks[0].idx.shape == (1, 0)
         check_stacks(blocks, dense, rng)
         assert np.array_equal(blocks.stacks[0].combine(np.zeros((1, 0))), np.zeros((1, 3, 3)))
