@@ -66,6 +66,11 @@ class Construction:
     aux: dict = field(default_factory=dict)  # named extra vars (tau, X, ...)
     report_divisor: float = 1.0  # objective is divided by this on report
 
+    @classmethod
+    def of(cls, b: ModelBuilder, target: VarId | None, **kw) -> "Construction":
+        """The builder's frozen model and its recipes."""
+        return cls(model=b.freeze(), target=target, recipes=list(b.recipes), **kw)
+
     def make_witness(self, base: dict | None = None) -> WitnessAssignment:
         """Resolve the recorded recipes into an explicit assignment.
 
@@ -100,10 +105,17 @@ class Construction:
 # recursive emitters; slots are AffineBlocks (constants or variables)
 
 
-def _fresh_target(b: ModelBuilder, letter: str, dim: int, t: Fraction, A, B):
+def _fresh_target(b: ModelBuilder, letter: str, dim: int, t: Fraction, A, B) -> AffineBlock:
     var = b.fresh_var(letter, dim)
     b.add_recipe(var, "geomean", (t, A, B))
-    return var, AffineBlock.of_var(var)
+    return AffineBlock.of_var(var)
+
+
+def emit(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T, t: Fraction):
+    """Emit LMIs forcing (A, B, T) into the hypograph of the geodesic for t
+    in [0, 1], else into its epigraph; returns the target block, as
+    `_emit_hyp` and `_emit_epi` do."""
+    return (_emit_hyp if 0 <= t <= 1 else _emit_epi)(b, A, B, T, t)
 
 
 def _emit_hyp(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T, t: Fraction):
@@ -117,7 +129,7 @@ def _emit_hyp(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T, t: Fraction):
         raise WrongExponent(f"hypograph requires t in [0,1], got {t}")
     if t == 0 or t == 1:
         if T is None:
-            _, T = _fresh_target(b, "T", n, t, A, B)
+            T = _fresh_target(b, "T", n, t, A, B)
         corner = A if t == 0 else B
         b.add_lmi([[corner - T]], label=f"hyp endpoint t={t}")
         return T
@@ -143,10 +155,9 @@ def _emit_dyadic(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T, t: Fraction
     chain = []
     for i in range(1, ell):
         ti = Fraction(p % (1 << i), 1 << i)
-        _, blk = _fresh_target(b, "Z", n, ti, A, B)
-        chain.append(blk)
+        chain.append(_fresh_target(b, "Z", n, ti, A, B))
     if T is None:
-        _, T = _fresh_target(b, "Z" if ell > 1 else "T", n, t, A, B)
+        T = _fresh_target(b, "Z" if ell > 1 else "T", n, t, A, B)
     chain.append(T)
     b.add_lmi2(A, chain[0], B, label=f"dyadic base {t}")
     for i in range(2, ell + 1):
@@ -160,13 +171,11 @@ def _emit_pow2_numerator(b: ModelBuilder, A, B, T, t: Fraction):
     p, q = t.numerator, t.denominator
     ell = floor_log2(p)
     s = Fraction(2 ** (ell + 1) - q, 2**ell)
-    Wvar = b.fresh_var("W", n)
-    b.add_recipe(Wvar, "geomean", (t, A, B))
-    W = AffineBlock.of_var(Wvar)
+    W = _fresh_target(b, "W", n, t, A, B)
     Z = _emit_dyadic(b, A, W, None, s)
     b.add_lmi2(Z, W, B, label=f"pow2 glue {t}")
     if T is None:
-        _, T = _fresh_target(b, "T", n, t, A, B)
+        T = _fresh_target(b, "T", n, t, A, B)
     b.add_lmi([[W - T]], label=f"pow2 cap {t}")
     return T
 
@@ -177,17 +186,15 @@ def _emit_epi(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T, t: Fraction):
         raise WrongExponent(f"epigraph requires t in [-1,0] u [1,2], got {t}")
     if t == 0 or t == 1:
         if T is None:
-            _, T = _fresh_target(b, "T", n, t, A, B)
+            T = _fresh_target(b, "T", n, t, A, B)
         corner = A if t == 0 else B
         b.add_lmi([[T - corner]], label=f"epi endpoint t={t}")
         return T
     if t < 0:
-        Svar = b.fresh_var("S", n)
-        b.add_recipe(Svar, "geomean", (-t, A, B))
-        S = AffineBlock.of_var(Svar)
+        S = _fresh_target(b, "S", n, -t, A, B)
         _emit_hyp(b, A, B, S, -t)
         if T is None:
-            _, T = _fresh_target(b, "T", n, t, A, B)
+            T = _fresh_target(b, "T", n, t, A, B)
         b.add_lmi([[T, A], [A.adjoint(), S]], label=f"epi flip {t}")
         return T
     return _emit_epi(b, B, A, T, 1 - t)
@@ -199,7 +206,7 @@ def _emit_epi(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T, t: Fraction):
 
 @dataclass
 class GeoMeanTask:
-    """What to compile: exponent, dimension, mode and slot roles.
+    """What to compile: exponent, dimension and slot roles.
 
     ``A``/``B`` are matrices (data) or None (free variables).  ``T`` is
     None for a free target (with a trace objective) or a fixed matrix.
@@ -207,47 +214,30 @@ class GeoMeanTask:
 
     t: RationalExponent
     n: int
-    mode: str = "auto"  # "hyp" | "epi" | "auto"
     A: np.ndarray | None = None
     B: np.ndarray | None = None
     T: np.ndarray | None = None
 
-    def resolved_mode(self) -> str:
-        if self.mode != "auto":
-            if self.mode == "hyp" and not self.t.concave_range:
-                raise WrongExponent(f"t={self.t} is not in [0,1]")
-            if self.mode == "epi" and not self.t.convex_range:
-                raise WrongExponent(f"t={self.t} is not in [-1,0] u [1,2]")
-            return self.mode
-        if self.t.concave_range:
-            return "hyp"
-        return "epi"
-
 
 def build_geomean(task: GeoMeanTask) -> Construction:
-    """The construction of the task's resolved mode: the hypograph for t in
-    [0, 1], the epigraph for t in [-1,0] u [1,2]."""
-    mode = task.resolved_mode()
-    emit = _emit_hyp if mode == "hyp" else _emit_epi
+    """The hypograph for t in [0, 1], maximizing tr T, or the epigraph for t
+    in [-1,0] u [1,2], minimizing it; with T given, only its constraints."""
     b = ModelBuilder()
 
     def slot(role, name):
         if role is None:
             return AffineBlock.of_var(b.fresh_var(name, task.n))
-        M = hermitize(role)
-        b.add_data(name, M)
-        return AffineBlock.constant(M)
+        return AffineBlock.constant(hermitize(role))
 
     A, B = slot(task.A, "A"), slot(task.B, "B")
-    Tvar = None
-    if task.T is None:
-        Tvar = emit(b, A, B, None, task.t.fraction).terms[0].var
-        sense = "maximize" if mode == "hyp" else "minimize"
-        b.set_objective(sense, LinearFunctional(0.0, [(Tvar, np.eye(task.n))]))
-    else:
-        b.add_data("T", hermitize(task.T))
-        emit(b, A, B, AffineBlock.constant(hermitize(task.T)), task.t.fraction)
-    return Construction(model=b.freeze(), target=Tvar, recipes=list(b.recipes))
+    t = task.t.fraction
+    if task.T is not None:
+        emit(b, A, B, AffineBlock.constant(hermitize(task.T)), t)
+        return Construction.of(b, None)
+    T = emit(b, A, B, None, t).terms[0].var
+    sense = "maximize" if task.t.concave_range else "minimize"
+    b.set_objective(sense, LinearFunctional(0.0, [(T, np.eye(task.n))]))
+    return Construction.of(b, T)
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +263,10 @@ class CensusReport:
         )
 
 
-def lmi_census_audit(t: RationalExponent, n: int = 2, mode: str = "auto") -> CensusReport:
+def lmi_census_audit(t: RationalExponent, n: int = 2) -> CensusReport:
     """Compare the construction's LMI census with the size theorem."""
-    task = GeoMeanTask(t=t, n=n, mode=mode, A=np.eye(n), B=np.eye(n))
-    mode = task.resolved_mode()
-    con = build_geomean(task)
-    census = con.model.lmi_census()
+    mode = "hyp" if t.concave_range else "epi"
+    census = build_geomean(GeoMeanTask(t, n, A=np.eye(n), B=np.eye(n))).model.lmi_census()
     ell = floor_log2(t.q)
     bound_big = 2 * ell + 1 + (1 if mode == "epi" else 0)
     big = sum(c for s, c in census if s == 2 * n)

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, WrongExponent
-from .geomean import Construction, _as_fraction, _emit_epi, _emit_hyp
+from .geomean import Construction, _as_fraction, emit
 from .kernel import (
     RationalExponent,
     herm_power,
@@ -29,13 +29,7 @@ from .kernel import (
     kron,
     vec_rows,
 )
-from .model import AffineBlock, LinearFunctional, ModelBuilder, WitnessAssignment
-
-
-def _pd_data(b: ModelBuilder, name: str, M) -> np.ndarray:
-    M = hermitize(M)
-    b.add_data(name, M)
-    return M
+from .model import AffineBlock, LinearFunctional, ModelBuilder, VarId, WitnessAssignment
 
 
 def _lift_left(M: np.ndarray, m: int) -> AffineBlock:
@@ -49,18 +43,26 @@ def _lift_right(M: np.ndarray, n: int, conjugate: bool = True) -> AffineBlock:
     return AffineBlock.constant(kron(np.eye(n), R))
 
 
-def _mode_for(t: Fraction) -> str:
-    if 0 <= t <= 1:
-        return "hyp"
-    if -1 <= t <= 0 or 1 <= t <= 2:
-        return "epi"
-    raise WrongExponent(f"exponent {t} outside [-1, 2]")
+def _geodesic(b: ModelBuilder, letter: str, dim: int, t: Fraction, A, B) -> VarId:
+    """A fresh variable on the geodesic A #_t B: its witness recipe and the
+    LMIs of `emit` that bound it."""
+    var = b.fresh_var(letter, dim)
+    b.add_recipe(var, "geomean", (t, A, B))
+    emit(b, A, B, AffineBlock.of_var(var), t)
+    return var
 
 
-def _emit(b: ModelBuilder, mode: str, A, B, T, t: Fraction):
-    if mode == "hyp":
-        return _emit_hyp(b, A, B, T, t)
-    return _emit_epi(b, A, B, T, t)
+def _pinch(b: ModelBuilder, tau: VarId, terms, concave: bool):
+    """Bound tau by f, the functional of ``terms``, which include -tau:
+    f >= 0 with tau maximized in the concave range, else -f >= 0 with tau
+    minimized.  tau's recipe makes the bound tight."""
+    if not concave:
+        terms = [(v, -M) for v, M in terms]
+    f = LinearFunctional(0.0, terms)
+    b.add_scalar(f, label="pinch")
+    b.add_recipe(tau, "scalar_tight", f)
+    sense = "maximize" if concave else "minimize"
+    b.set_objective(sense, LinearFunctional(0.0, [(tau, np.eye(1))]))
 
 
 # ---------------------------------------------------------------------------
@@ -74,34 +76,17 @@ def build_lieb(K, A, B, t: RationalExponent) -> Construction:
     [1,2] minimizes; both use the lifted pair (A (x) I, I (x) conj(B)).
     """
     K = np.asarray(K, dtype=complex)
-    b = ModelBuilder()
-    A = _pd_data(b, "A", A)
-    B = _pd_data(b, "B", B)
+    A, B = hermitize(A), hermitize(B)
     n, m = A.shape[0], B.shape[0]
     if K.shape != (n, m):
         raise DimensionMismatch(f"K must be {n} x {m}, got {K.shape}")
-    b.add_data("K", K)
     t = _as_fraction(t)
-    mode = _mode_for(t)
-    LA = _lift_left(A, m)
-    LB = _lift_right(B, n)
-    Tvar = b.fresh_var("T", n * m)
-    b.add_recipe(Tvar, "geomean", (t, LA, LB))
-    _emit(b, mode, LA, LB, AffineBlock.of_var(Tvar), t)
+    b = ModelBuilder()
+    Tvar = _geodesic(b, "T", n * m, t, _lift_left(A, m), _lift_right(B, n))
     v = vec_rows(K)
-    vv = v @ v.conj().T
     tau = b.fresh_var("tau", 1, kind="real")
-    if mode == "hyp":
-        f = LinearFunctional(0.0, [(Tvar, vv), (tau, -np.eye(1))])
-        b.set_objective("maximize", LinearFunctional(0.0, [(tau, np.eye(1))]))
-    else:
-        f = LinearFunctional(0.0, [(tau, np.eye(1)), (Tvar, -vv)])
-        b.set_objective("minimize", LinearFunctional(0.0, [(tau, np.eye(1))]))
-    b.add_scalar(f, label="pinch")
-    b.add_recipe(tau, "scalar_tight", f)
-    return Construction(
-        model=b.freeze(), target=Tvar, recipes=list(b.recipes), aux={"tau": tau},
-    )
+    _pinch(b, tau, [(Tvar, v @ v.conj().T), (tau, -np.eye(1))], 0 <= t <= 1)
+    return Construction.of(b, Tvar, aux={"tau": tau})
 
 
 # ---------------------------------------------------------------------------
@@ -117,30 +102,20 @@ def build_kron_power(A, B, s, t) -> Construction:
     s, t = _as_fraction(s), _as_fraction(t)
     if s < 0 or t < 0 or not 0 < s + t <= 1:
         raise WrongExponent(f"need s,t >= 0 and 0 < s+t <= 1, got s={s}, t={t}")
-    b = ModelBuilder()
-    A = _pd_data(b, "A", A)
-    B = _pd_data(b, "B", B)
+    A, B = hermitize(A), hermitize(B)
     n, m = A.shape[0], B.shape[0]
     LA = _lift_left(A, m)
     LB = _lift_right(B, n, conjugate=False)
     d = n * m
     u = s + t
+    b = ModelBuilder()
     if u == 1:
-        Tvar = b.fresh_var("T", d)
-        b.add_recipe(Tvar, "geomean", (t, LA, LB))
-        _emit_hyp(b, LA, LB, AffineBlock.of_var(Tvar), t)
+        Tvar = _geodesic(b, "T", d, t, LA, LB)
     else:
-        w = t / u
-        Svar = b.fresh_var("S", d)
-        b.add_recipe(Svar, "geomean", (w, LA, LB))
-        Sblk = AffineBlock.of_var(Svar)
-        _emit_hyp(b, LA, LB, Sblk, w)
-        eye = AffineBlock.constant(np.eye(d))
-        Tvar = b.fresh_var("T", d)
-        b.add_recipe(Tvar, "geomean", (u, eye, Sblk))
-        _emit_hyp(b, eye, Sblk, AffineBlock.of_var(Tvar), u)
+        S = AffineBlock.of_var(_geodesic(b, "S", d, t / u, LA, LB))
+        Tvar = _geodesic(b, "T", d, u, AffineBlock.constant(np.eye(d)), S)
     b.set_objective("maximize", LinearFunctional(0.0, [(Tvar, np.eye(d))]))
-    return Construction(model=b.freeze(), target=Tvar, recipes=list(b.recipes))
+    return Construction.of(b, Tvar)
 
 
 def build_multivariate(mats, weights) -> Construction:
@@ -151,25 +126,21 @@ def build_multivariate(mats, weights) -> Construction:
     """
     weights = [_as_fraction(w) for w in weights]
     _check_weights(weights, len(mats))
-    b = ModelBuilder()
-    mats = [_pd_data(b, f"A{i + 1}", M) for i, M in enumerate(mats)]
+    mats = [hermitize(M) for M in mats]
     dims = [M.shape[0] for M in mats]
     cur = AffineBlock.constant(mats[0])
     acc = weights[0]
-    Tvar = None
+    b = ModelBuilder()
     for i in range(1, len(mats)):
         d_left, d_right = int(np.prod(dims[: i + 1])), dims[i]
         acc += weights[i]
         w = weights[i] / acc
         LA = _lift_block_left(cur, d_right)
         LB = _lift_right(mats[i], d_left // d_right, conjugate=False)
-        Tvar = b.fresh_var("S" if i < len(mats) - 1 else "T", d_left)
-        b.add_recipe(Tvar, "geomean", (w, LA, LB))
-        _emit_hyp(b, LA, LB, AffineBlock.of_var(Tvar), w)
+        Tvar = _geodesic(b, "S" if i < len(mats) - 1 else "T", d_left, w, LA, LB)
         cur = AffineBlock.of_var(Tvar)
-    d = int(np.prod(dims))
-    b.set_objective("maximize", LinearFunctional(0.0, [(Tvar, np.eye(d))]))
-    return Construction(model=b.freeze(), target=Tvar, recipes=list(b.recipes))
+    b.set_objective("maximize", LinearFunctional(0.0, [(Tvar, np.eye(d_left))]))
+    return Construction.of(b, Tvar)
 
 
 def _check_weights(weights, k: int):
@@ -204,20 +175,16 @@ def build_tsallis_entropy(A, t: RationalExponent) -> Construction:
     t = _as_fraction(t)
     if not 0 < t <= 1:
         raise WrongExponent(f"Tsallis entropy requires t in (0,1], got {t}")
-    b = ModelBuilder()
-    A = _pd_data(b, "A", A)
+    A = hermitize(A)
     n = A.shape[0]
-    LA = AffineBlock.constant(A)
-    eye = AffineBlock.constant(np.eye(n))
-    Tvar = b.fresh_var("T", n)
-    b.add_recipe(Tvar, "geomean", (t, LA, eye))
-    _emit_hyp(b, LA, eye, AffineBlock.of_var(Tvar), t)
+    b = ModelBuilder()
+    Tvar = _geodesic(b, "T", n, t, AffineBlock.constant(A), AffineBlock.constant(np.eye(n)))
     ct = float(t)
     b.set_objective(
         "maximize",
         LinearFunctional(-np.trace(A).real / ct, [(Tvar, np.eye(n) / ct)]),
     )
-    return Construction(model=b.freeze(), target=Tvar, recipes=list(b.recipes))
+    return Construction.of(b, Tvar)
 
 
 def build_tsallis_rel_entropy(A, B, t: RationalExponent) -> Construction:
@@ -225,17 +192,12 @@ def build_tsallis_rel_entropy(A, B, t: RationalExponent) -> Construction:
     t = _as_fraction(t)
     if not 0 < t <= 1:
         raise WrongExponent(f"Tsallis relative entropy requires t in (0,1], got {t}")
-    b = ModelBuilder()
-    A = _pd_data(b, "A", A)
-    B = _pd_data(b, "B", B)
+    A, B = hermitize(A), hermitize(B)
     n = A.shape[0]
     if B.shape[0] != n:
         raise DimensionMismatch("A and B must have equal dimensions")
-    LA = _lift_left(A, n)
-    LB = _lift_right(B, n)
-    Tvar = b.fresh_var("T", n * n)
-    b.add_recipe(Tvar, "geomean", (t, LA, LB))
-    _emit_hyp(b, LA, LB, AffineBlock.of_var(Tvar), t)
+    b = ModelBuilder()
+    Tvar = _geodesic(b, "T", n * n, t, _lift_left(A, n), _lift_right(B, n))
     v = vec_rows(np.eye(n))
     vv = v @ v.conj().T
     ct = float(t)
@@ -246,9 +208,7 @@ def build_tsallis_rel_entropy(A, B, t: RationalExponent) -> Construction:
     b.add_scalar(f, label="pinch")
     b.add_recipe(sigma, "scalar_tight", f)
     b.set_objective("minimize", LinearFunctional(0.0, [(sigma, np.eye(1))]))
-    return Construction(
-        model=b.freeze(), target=Tvar, recipes=list(b.recipes), aux={"sigma": sigma},
-    )
+    return Construction.of(b, Tvar, aux={"sigma": sigma})
 
 
 # ---------------------------------------------------------------------------
@@ -268,42 +228,26 @@ def build_upsilon(K, A, t: RationalExponent) -> Construction:
     if t == 0:
         raise WrongExponent("Upsilon is undefined at t = 0")
     s = 1 - t
-    b = ModelBuilder()
-    A = _pd_data(b, "A", A)
+    A = hermitize(A)
     n, m = K.shape
     if A.shape[0] != n:
         raise DimensionMismatch(f"A must be {n} x {n}, got {A.shape}")
-    b.add_data("K", K)
-    mode = _mode_for(s)
     LA = _lift_left(A, m)
     v = vec_rows(K)
-    vv = v @ v.conj().T
+    b = ModelBuilder()
     Tvar = b.fresh_var("T", n * m)
     tau = b.fresh_var("tau", 1, kind="real")
-    terms = [(Tvar, vv), (tau, -np.eye(1))]
-    if t == 1:
-        b.add_recipe(Tvar, "geomean", (Fraction(0), LA, LA))
-        _emit_hyp(b, LA, LA, AffineBlock.of_var(Tvar), Fraction(0))
-        aux = {"tau": tau}
-    else:
-        Xvar = b.fresh_var("X", m)
+    terms = [(Tvar, v @ v.conj().T), (tau, -np.eye(1))]
+    aux = {"tau": tau}
+    LX = LA  # at t = 1, s = 0 and A #_0 X = A needs no X
+    if t != 1:
+        aux["X"] = Xvar = b.fresh_var("X", m)
         LX = AffineBlock.of_var(Xvar, op="conj", kl=np.eye(n))
-        b.add_recipe(Tvar, "geomean", (s, LA, LX))
-        _emit(b, mode, LA, LX, AffineBlock.of_var(Tvar), s)
         terms.append((Xvar, -float(s) * np.eye(m)))
-        aux = {"tau": tau, "X": Xvar}
-    if mode == "hyp":
-        f = LinearFunctional(0.0, terms)
-        b.set_objective("maximize", LinearFunctional(0.0, [(tau, np.eye(1))]))
-    else:
-        f = LinearFunctional(0.0, [(vr, -Mr) for vr, Mr in terms])
-        b.set_objective("minimize", LinearFunctional(0.0, [(tau, np.eye(1))]))
-    b.add_scalar(f, label="pinch")
-    b.add_recipe(tau, "scalar_tight", f)
-    return Construction(
-        model=b.freeze(), target=Tvar, recipes=list(b.recipes), aux=aux,
-        report_divisor=float(t),
-    )
+    b.add_recipe(Tvar, "geomean", (s, LA, LX))
+    emit(b, LA, LX, AffineBlock.of_var(Tvar), s)
+    _pinch(b, tau, terms, 0 <= s <= 1)
+    return Construction.of(b, Tvar, aux=aux, report_divisor=float(t))
 
 
 def upsilon_equality_witness(K, A, t, construction: Construction) -> WitnessAssignment:
@@ -327,12 +271,11 @@ def build_fidelity(A, B) -> Construction:
     The off-diagonal slot Z = H + iG runs over all of C^{n x n} via two
     Hermitian variables; the objective is Re tr Z = tr H.
     """
-    b = ModelBuilder()
-    A = _pd_data(b, "A", A)
-    B = _pd_data(b, "B", B)
+    A, B = hermitize(A), hermitize(B)
     n = A.shape[0]
     if B.shape[0] != n:
         raise DimensionMismatch("A and B must have equal dimensions")
+    b = ModelBuilder()
     H = b.fresh_var("H", n)
     G = b.fresh_var("G", n)
     Z = AffineBlock.of_var(H) + AffineBlock.of_var(G, coeff=1j)
@@ -341,7 +284,7 @@ def build_fidelity(A, B) -> Construction:
         label="fidelity",
     )
     b.set_objective("maximize", LinearFunctional(0.0, [(H, np.eye(n))]))
-    return Construction(model=b.freeze(), target=H, recipes=[], aux={"H": H, "G": G})
+    return Construction.of(b, H, aux={"H": H, "G": G})
 
 
 def fidelity_witness(A, B, construction: Construction) -> WitnessAssignment:

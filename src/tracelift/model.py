@@ -368,8 +368,8 @@ class LinearFunctional:
         ``Slices.coords``."""
         out = np.zeros(m)
         for v, M in self.terms:
-            for k, E in enumerate(var_basis(v)):
-                out[offsets[v] + k] += np.trace(M @ E).real
+            basis = var_basis(v)
+            out[offsets[v]:offsets[v] + len(basis)] += np.trace(M @ basis, axis1=1, axis2=2).real
         return out
 
     def vars(self) -> set:
@@ -416,14 +416,12 @@ class SdpModel:
         lmis,
         scalars=(),
         objective=None,
-        data=None,
         realified: bool = False,
     ):
         self.vars = tuple(vars)
         self.lmis = tuple(lmis)
         self.scalars = tuple(scalars)
         self.objective = objective
-        self.data = dict(data or {})
         self.realified = realified
         idx = [v.index for v in self.vars]
         if len(set(idx)) != len(idx):
@@ -462,7 +460,6 @@ class ModelBuilder:
         self._lmis = []
         self._scalars = []
         self._objective = None
-        self._data = {}
         self._counters = {}
         self.recipes = []  # (VarId, kind, payload) in dependency order
 
@@ -490,21 +487,11 @@ class ModelBuilder:
     def set_objective(self, sense: str, functional: LinearFunctional):
         self._objective = Objective(sense, functional)
 
-    def add_data(self, name: str, M):
-        self._data[name] = np.asarray(M, dtype=complex)
-
     def add_recipe(self, var: VarId, kind: str, payload):
         self.recipes.append((var, kind, payload))
 
     def freeze(self) -> SdpModel:
-        return SdpModel(
-            self._vars,
-            self._lmis,
-            self._scalars,
-            self._objective,
-            self._data,
-            realified=False,
-        )
+        return SdpModel(self._vars, self._lmis, self._scalars, self._objective)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +567,7 @@ def _real_basis(var: VarId) -> np.ndarray:
 
 def model_is_real(model: SdpModel) -> bool:
     """True when the coordinates with an imaginary basis matrix can be
-    dropped: every G0, functional and data matrix is real, and every slice
+    dropped: every G0 and functional matrix is real, and every slice
     is real where its basis matrix is real and purely imaginary where it
     is imaginary.  The LMIs' matrices then have real parts that do not
     depend on those coordinates, and a Hermitian matrix is PSD only if its
@@ -594,10 +581,7 @@ def model_is_real(model: SdpModel) -> bool:
     funcs = [sc.functional for sc in model.scalars]
     if model.objective is not None:
         funcs.append(model.objective.functional)
-    for f in funcs:
-        if not all(_matrix_is_real(M) for _, M in f.terms):
-            return False
-    return all(_matrix_is_real(M) for M in model.data.values())
+    return all(_matrix_is_real(M) for f in funcs for _, M in f.terms)
 
 
 def _realify_slices(lmi: LmiConstraint, var_map, embed: bool) -> Slices:
@@ -674,18 +658,7 @@ def realify(model: SdpModel):
         objective = Objective(
             model.objective.sense, map_functional(model.objective.functional)
         )
-    data = {
-        name: (phi(M) if embed else M.real.astype(complex))
-        for name, M in model.data.items()
-    }
-    out = SdpModel(
-        [var_map[v] for v in model.vars],
-        lmis,
-        scalars,
-        objective,
-        data,
-        realified=True,
-    )
+    out = SdpModel([var_map[v] for v in model.vars], lmis, scalars, objective, realified=True)
     return out, var_map
 
 

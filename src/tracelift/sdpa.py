@@ -273,4 +273,4 @@ def import_sdpa(path) -> SdpModel:
             G0, tuple(xs[k - 1] for k in mats[1:]), sk, p, np.concatenate([ve, ve])[keep][by_key])))
     terms = [(xs[k], [[-ck]]) for k, ck in enumerate(c) if ck != 0.0]
     objective = Objective("maximize", LinearFunctional(constant, terms))
-    return SdpModel(xs, lmis, scalars, objective, {}, realified=True)
+    return SdpModel(xs, lmis, scalars, objective, realified=True)

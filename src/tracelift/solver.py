@@ -47,12 +47,23 @@ from .model import (
 
 @dataclass
 class SolveOptions:
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
+    """The iteration limit of each attempt of `solve`'s ladder."""
+
     max_iters: int = 200
-    step_frac: float = 0.98
-    min_sigma: float = 1e-6
-    max_sigma: float = 0.999
+
+
+# an attempt is optimal once the relative duality gap and the relative primal
+# and dual infeasibilities are within these
+_GAP_TOL = 1e-8
+_FEAS_TOL = 1e-8
+# bounds of Mehrotra's centring weight; the upper one is the centring step's
+_MIN_SIGMA = 1e-6
+_MAX_SIGMA = 0.999
+# solve's ladder of (start scale, step fraction) attempts: the first is
+# fastest, the others rescue instances that stall near the central path's
+# end.  The third rescues none of tools/sweep.py's hard set, but 5 of 80
+# lieb t = 2/3 solves at n = 2 (seeds 0-39, at one and two BLAS threads)
+_LADDER = ((10.0, 0.98), (1.0, 0.95), (100.0, 0.9))
 
 
 class Attempt(NamedTuple):
@@ -73,7 +84,7 @@ class SolveResult:
     ``status`` is one of
 
     - ``"optimal"``: relative duality gap, primal and dual infeasibility
-      all within ``gap_tol``/``feas_tol``; only then is ``objective`` set.
+      all within 1e-8; only then is ``objective`` set.
     - ``"iteration_limit"``: ``max_iters`` ran out before that.
     - ``"numerical_failure"``: the iterates stalled -- X or (y, S) found
       no strictly interior step for several iterations in a row.
@@ -445,7 +456,7 @@ def _solve_canonical(b, blocks: _Blocks, opts: SolveOptions, tau_mul: float, fra
             gap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
             dinf = max((_norms(R) / (1 + np.maximum(s.G0_norms, _norms(Ss)))).max()
                        for s, R, Ss in zip(stacks, Rd, S))
-            if gap <= opts.gap_tol and pinf <= opts.feas_tol and dinf <= opts.feas_tol:
+            if gap <= _GAP_TOL and pinf <= _FEAS_TOL and dinf <= _FEAS_TOL:
                 status = "optimal"
                 break
             iterate_norm = max([np.abs(y).max(initial=0.0)] + [np.abs(A).max() for A in X + S])
@@ -466,7 +477,7 @@ def _solve_canonical(b, blocks: _Blocks, opts: SolveOptions, tau_mul: float, fra
                 W, [-Xs - Ws @ Rds @ Ws for Xs, Ws, Rds in zip(X, W, Rd)], Sinv, rp)
             dy_aff, dy_cen = solve_m(M, rhs).T
             candidates = []
-            if gap > opts.gap_tol:
+            if gap > _GAP_TOL:
                 # the predictor (affine direction): its decrease picks the
                 # centring weight, and its second-order term corrects the
                 # corrector (Mehrotra, in the NT-scaled form of Todd, Toh
@@ -475,7 +486,7 @@ def _solve_canonical(b, blocks: _Blocks, opts: SolveOptions, tau_mul: float, fra
                 ap, ad = ratio_test(LX, dX_a), ratio_test(LS, dS_a)
                 trxs_a = blocks.total(
                     [_dot(Xs + ap * dXs, Ss + ad * dSs) for Xs, dXs, Ss, dSs in zip(X, dX_a, S, dS_a)])
-                sigma = np.clip((max(trxs_a, 0.0) / trxs) ** 3, opts.min_sigma, opts.max_sigma)
+                sigma = np.clip((max(trxs_a, 0.0) / trxs) ** 3, _MIN_SIGMA, _MAX_SIGMA)
                 C = [_second_order(Gs, Vs, dSs) for Gs, Vs, dSs in zip(G, V, dS_a)]
                 dy_c = solve_m(M, blocks.add_traces(np.zeros(m), C))
                 candidates = [corrector(sigma, dy_c, C), corrector(sigma)]
@@ -485,11 +496,11 @@ def _solve_canonical(b, blocks: _Blocks, opts: SolveOptions, tau_mul: float, fra
             # In exact arithmetic a step cuts the primal residual by the
             # factor 1 - alpha, so a step that raises the primal
             # infeasibility is ruled by rounding; the first direction whose
-            # step keeps it within max(pinf, feas_tol) is taken
-            candidates.append(corrector(opts.max_sigma))
+            # step keeps it within max(pinf, _FEAS_TOL) is taken
+            candidates.append(corrector(_MAX_SIGMA))
             for dy, Rc in candidates:
                 dS, primal, moved = primal_step(dy, Rc)
-                if not moved or moved[0] <= max(pinf, opts.feas_tol):
+                if not moved or moved[0] <= max(pinf, _FEAS_TOL):
                     break
             dual = _interior_step(S, dS, ratio_test(LS, dS))
             # a side that cannot move stays put for this iteration: the other
@@ -515,13 +526,9 @@ def solve(model: SdpModel, options: SolveOptions | None = None) -> SolveResult:
     work, var_map = realify(model)
     b, blocks = _assemble(work)
 
-    # a short ladder of starting points and step fractions: the default
-    # is fastest, the alternates rescue instances that stall near the
-    # central path's end
-    ladder = [(10.0, opts.step_frac), (1.0, 0.95), (100.0, 0.9)]
     attempts = []
     best = None
-    for tau_mul, frac in ladder:
+    for tau_mul, frac in _LADDER:
         try:
             out = _solve_canonical(b, blocks, opts, tau_mul, frac)
         except _Diverged as exc:

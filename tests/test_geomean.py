@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from tracelift.errors import WrongExponent
-from tracelift.geomean import GeoMeanTask, build_geomean, lmi_census_audit
+from tracelift.geomean import GeoMeanTask, _emit_epi, _emit_hyp, build_geomean, lmi_census_audit
 from tracelift.instances import random_pd
 from tracelift.kernel import RationalExponent, geometric_mean
-from tracelift.model import check_feasible
+from tracelift.model import AffineBlock, ModelBuilder, check_feasible
 from tracelift.solver import solve
 
 
-def census_of(t, n=2, mode="auto"):
-    con = build_geomean(GeoMeanTask(RationalExponent.parse(t), n, mode=mode))
+def census_of(t, n=2):
+    con = build_geomean(GeoMeanTask(RationalExponent.parse(t), n))
     return con.model.lmi_census()
 
 
@@ -52,13 +52,17 @@ class TestCensus:
 
 
 class TestModeValidation:
+    # the emitters themselves check their range; emit picks the one whose
+    # range holds t
     def test_hyp_rejects_negative(self):
+        eye = AffineBlock.constant(np.eye(2))
         with pytest.raises(WrongExponent):
-            build_geomean(GeoMeanTask(RationalExponent(-1, 2), 2, mode="hyp"))
+            _emit_hyp(ModelBuilder(), eye, eye, None, Fraction(-1, 2))
 
     def test_epi_rejects_interior(self):
+        eye = AffineBlock.constant(np.eye(2))
         with pytest.raises(WrongExponent):
-            build_geomean(GeoMeanTask(RationalExponent(1, 3), 2, mode="epi"))
+            _emit_epi(ModelBuilder(), eye, eye, None, Fraction(1, 3))
 
     def test_out_of_range(self):
         from tracelift.errors import DomainError

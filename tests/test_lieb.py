@@ -25,7 +25,7 @@ from tracelift.lieb import (
     fidelity_witness,
     upsilon_equality_witness,
 )
-from tracelift.model import check_feasible
+from tracelift.model import check_feasible, realify
 from tracelift.solver import solve
 
 
@@ -57,6 +57,20 @@ class TestLieb:
         con = build_lieb(K, A, B, RationalExponent(1, 3))
         assert all(size in (2 * n * m, n * m) for size, _ in con.model.lmi_census())
         assert con.model.scalar_count == 1
+
+    def test_imaginary_k_takes_the_real_path(self, rng):
+        # K = iR is complex, but with real A and B the slices and the pinch's
+        # v v* = R R' are real, so the model is real and is not embedded
+        R = random_matrix(2, 3, rng, complex_=False)
+        A, B = random_pd(2, rng, complex_=False), random_pd(3, rng, complex_=False)
+        K = 1j * R
+        texp = RationalExponent(1, 3)
+        con = build_lieb(K, A, B, texp)
+        _, var_map = realify(con.model)
+        assert var_map[con.target].kind == "real"
+        res = solve(con.model)
+        assert res.ok
+        assert _rel(res.objective, lieb_value(K, A, B, texp.fraction)) <= 1e-6
 
     def test_joint_concavity_midpoint(self, rng):
         # tr[K* A^{1-t} K B^t] is jointly concave for t in (0, 1)

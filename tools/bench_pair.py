@@ -16,7 +16,7 @@ tree). Each holds every run's metrics and their medians; each case's
 solver status and iterations (verify workloads) or SDPA bytes (emit), as
 seen in every round of every run; the Python and numpy versions and the
 CPU count; the seed; and the commit, with a dirty flag for the working
-tree.
+tree, which does not count the BENCH_*.json files at the repository root.
 """
 
 import argparse
@@ -111,7 +111,8 @@ def main(argv=None):
 
     base = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     head = git("rev-parse", "HEAD")
-    dirty = bool(git("status", "--porcelain"))
+    # the BENCH_*.json files at the root are this tool's own output
+    dirty = bool(git("status", "--porcelain", "--", ":(top,exclude,glob)BENCH_*.json"))
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", base],
