@@ -1,7 +1,7 @@
 """Block-LMI compilation of the weighted matrix geometric mean.
 
 For rational t = p/q the hypograph { (A,B,T) : A #_t B >= T } (t in
-[0,1]) and epigraph { A #_t B <= T } (t in [-1,0] u [1,2]) are compiled
+[0,1]) and epigraph { A #_t B <= T } (t in [-1,0) u (1,2]) are compiled
 into small systems of 2n x 2n and n x n LMIs.  The recursion:
 
 - base case t = 1/2: the Schur-complement LMI [[A, T], [T, B]] >= 0;
@@ -12,8 +12,9 @@ into small systems of 2n x 2n and n x n LMIs.  The recursion:
 - general t in (0, 1/2): split t = (p/2^l) * (2^l/q) with
   l = floor(log2 q) and chain the two constructions;
 - general t in (1/2, 1): swap the pair and use 1 - t;
-- epigraphs: t in [-1, 0] uses the hypograph at -t plus one extra
-  Schur-complement LMI; t in [1, 2] swaps the pair onto 1 - t.
+- epigraphs: t in [-1, 0) uses the hypograph at -t plus one extra
+  Schur-complement LMI; t in (1, 2] swaps the pair onto 1 - t.  The
+  endpoints t = 0 and 1 are compiled as hypographs.
 
 Every auxiliary variable carries a witness recipe (its value along the
 geodesic between the construction's slot values), so proof-derived
@@ -181,15 +182,12 @@ def _emit_pow2_numerator(b: ModelBuilder, A, B, T, t: Fraction):
 
 
 def _emit_epi(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T, t: Fraction):
+    """Emit LMIs forcing (A, B, T) into epi_t for t in [-1,0) u (1,2];
+    returns the target block.  `emit` compiles the endpoints t = 0 and 1 as
+    hypographs."""
     n = A.dim
-    if not (-1 <= t <= 0 or 1 <= t <= 2):
-        raise WrongExponent(f"epigraph requires t in [-1,0] u [1,2], got {t}")
-    if t == 0 or t == 1:
-        if T is None:
-            T = _fresh_target(b, "T", n, t, A, B)
-        corner = A if t == 0 else B
-        b.add_lmi([[T - corner]], label=f"epi endpoint t={t}")
-        return T
+    if not (-1 <= t < 0 or 1 < t <= 2):
+        raise WrongExponent(f"epigraph requires t in [-1,0) u (1,2], got {t}")
     if t < 0:
         S = _fresh_target(b, "S", n, -t, A, B)
         _emit_hyp(b, A, B, S, -t)
@@ -221,7 +219,7 @@ class GeoMeanTask:
 
 def build_geomean(task: GeoMeanTask) -> Construction:
     """The hypograph for t in [0, 1], maximizing tr T, or the epigraph for t
-    in [-1,0] u [1,2], minimizing it; with T given, only its constraints."""
+    otherwise, minimizing it; with T given, only its constraints."""
     b = ModelBuilder()
 
     def slot(role, name):

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, WrongExponent
-from .geomean import Construction, _as_fraction, emit
+from .geomean import Construction, _as_fraction, _fresh_target, emit
 from .kernel import (
     RationalExponent,
     herm_power,
@@ -46,10 +46,9 @@ def _lift_right(M: np.ndarray, n: int, conjugate: bool = True) -> AffineBlock:
 def _geodesic(b: ModelBuilder, letter: str, dim: int, t: Fraction, A, B) -> VarId:
     """A fresh variable on the geodesic A #_t B: its witness recipe and the
     LMIs of `emit` that bound it."""
-    var = b.fresh_var(letter, dim)
-    b.add_recipe(var, "geomean", (t, A, B))
-    emit(b, A, B, AffineBlock.of_var(var), t)
-    return var
+    T = _fresh_target(b, letter, dim, t, A, B)
+    emit(b, A, B, T, t)
+    return T.terms[0].var
 
 
 def _pinch(b: ModelBuilder, tau: VarId, terms, concave: bool):
