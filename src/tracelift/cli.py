@@ -11,13 +11,14 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
 from .errors import IoError, NotPositiveDefinite, TraceliftError
-from .geomean import lmi_census_audit
+from .geomean import census_text, lmi_census_audit
 from .instances import FUNCTIONS
-from .kernel import PD_TOL, RationalExponent, _eigh_pd, hermitize
+from .kernel import RationalExponent, _eigh_pd, hermitize
 from .model import check_feasible, realify
 from .sdpa import export_sdpa
 from .solver import solve
@@ -58,7 +59,7 @@ def load_matrix(path, hermitian: bool = True) -> np.ndarray:
         return M
     M = hermitize(M)
     try:
-        _eigh_pd(M, PD_TOL)
+        _eigh_pd(M)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(f"matrix file {path}: {exc}")
     return M
@@ -75,13 +76,10 @@ def save_matrix(M, path) -> None:
 
 
 def census_string(model) -> str:
-    parts = [
-        f"{count} x (size {size})"
-        for size, count in sorted(model.lmi_census(), reverse=True)
-    ]
+    text = census_text(sorted(model.lmi_census(), reverse=True))
     if model.scalar_count:
-        parts.append(f"{model.scalar_count} scalar")
-    return ", ".join(parts)
+        text += f", {model.scalar_count} scalar"
+    return text
 
 
 def _spec(args):
@@ -130,6 +128,10 @@ def cmd_verify(args) -> int:
     header = f"{'trial':>5} {'witness':>8} {'rel.err':>10} {'census':>7} {'result':>7}"
     print(header)
     all_ok = True
+    audit = None  # the census depends on t and the size of A only
+    if args.function == "geomean":
+        audit = lmi_census_audit(p["t"], given["A"].shape[0] if "A" in given else args.n).ok
+    census_txt = {None: "-", True: "ok", False: "FAIL"}[audit]
     for trial in range(args.trials):
         data = fn.draw(p, args.n, rng, args.complex, given)
         con = fn.build(data, p)
@@ -141,8 +143,6 @@ def cmd_verify(args) -> int:
             rel = np.inf
         else:
             rel = abs(res.objective / con.report_divisor - oracle) / (1 + abs(oracle))
-        audit = lmi_census_audit(p["t"], data["A"].shape[0]).ok if args.function == "geomean" else None
-        census_txt = {None: "-", True: "ok", False: "FAIL"}[audit]
         ok = feas and audit is not False and rel <= 1e-6
         all_ok = all_ok and ok
         print(
@@ -157,17 +157,13 @@ def cmd_count(args) -> int:
     all_ok = True
     print(f"{'t':>8} {'mode':>5}  census")
     for q in range(1, args.qmax + 1):
-        for p in range(0, q + 1):
-            if Fraction(p, q).denominator != q:
+        for p in range(-q, 2 * q + 1):  # every reduced p/q in [-1, 2]
+            if gcd(p, q) != 1:
                 continue
-            t = RationalExponent(p, q)
-            for mode in ("hyp", "epi"):
-                texp = t if mode == "hyp" else RationalExponent(-p, q)
-                rep = lmi_census_audit(texp, n=2)
-                all_ok = all_ok and rep.ok
-                census = ", ".join(f"{c} x (size {s})" for s, c in rep.census)
-                flag = "" if rep.ok else "  EXCEEDS BOUND"
-                print(f"{str(texp):>8} {mode:>5}  {census}{flag}")
+            rep = lmi_census_audit(RationalExponent(p, q), n=2)
+            all_ok = all_ok and rep.ok
+            flag = "" if rep.ok else "  EXCEEDS BOUND"
+            print(f"{str(rep.t):>8} {rep.mode:>5}  {census_text(rep.census)}{flag}")
     print("all within bounds" if all_ok else "BOUND VIOLATIONS FOUND")
     return 0 if all_ok else 1
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -45,12 +46,6 @@ from .model import (
     VarId,
     WitnessAssignment,
 )
-
-
-def _as_fraction(t) -> Fraction:
-    if isinstance(t, RationalExponent):
-        return t.fraction
-    return Fraction(t)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +110,9 @@ def _fresh_target(b: ModelBuilder, letter: str, dim: int, t: Fraction, A, B) -> 
 def emit(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T, t: Fraction):
     """Emit LMIs forcing (A, B, T) into the hypograph of the geodesic for t
     in [0, 1], else into its epigraph; returns the target block, as
-    `_emit_hyp` and `_emit_epi` do."""
+    `_emit_hyp` and `_emit_epi` do.  A t that is not rational raises WrongExponent."""
+    if not isinstance(t, Rational):
+        raise WrongExponent(f"exponent must be rational, got {t!r}")
     return (_emit_hyp if 0 <= t <= 1 else _emit_epi)(b, A, B, T, t)
 
 
@@ -228,12 +225,12 @@ def build_geomean(task: GeoMeanTask) -> Construction:
         return AffineBlock.constant(hermitize(role))
 
     A, B = slot(task.A, "A"), slot(task.B, "B")
-    t = task.t.fraction
+    t = task.t
     if task.T is not None:
         emit(b, A, B, AffineBlock.constant(hermitize(task.T)), t)
         return Construction.of(b, None)
     T = emit(b, A, B, None, t).terms[0].var
-    sense = "maximize" if task.t.concave_range else "minimize"
+    sense = "maximize" if 0 <= t <= 1 else "minimize"
     b.set_objective(sense, LinearFunctional(0.0, [(T, np.eye(task.n))]))
     return Construction.of(b, T)
 
@@ -253,7 +250,7 @@ class CensusReport:
     ok: bool
 
     def __str__(self):
-        parts = ", ".join(f"{c} x (size {s})" for s, c in self.census)
+        parts = census_text(self.census)
         flag = "ok" if self.ok else "EXCEEDS BOUND"
         return (
             f"t={self.t} ({self.mode}, n={self.n}): {parts}; "
@@ -261,14 +258,19 @@ class CensusReport:
         )
 
 
+def census_text(census) -> str:
+    """(size, count) pairs as "count x (size s), ..." in the order given."""
+    return ", ".join(f"{c} x (size {s})" for s, c in census)
+
+
 def lmi_census_audit(t: RationalExponent, n: int = 2) -> CensusReport:
     """Compare the construction's LMI census with the size theorem."""
-    mode = "hyp" if t.concave_range else "epi"
+    mode = "hyp" if 0 <= t <= 1 else "epi"
     census = build_geomean(GeoMeanTask(t, n, A=np.eye(n), B=np.eye(n))).model.lmi_census()
-    ell = floor_log2(t.q)
+    ell = floor_log2(t.denominator)
     bound_big = 2 * ell + 1 + (1 if mode == "epi" else 0)
     big = sum(c for s, c in census if s == 2 * n)
     small = sum(c for s, c in census if s == n)
     other = sum(c for s, c in census if s not in (n, 2 * n))
     ok = big <= bound_big and small <= 1 and other == 0
-    return CensusReport(t.fraction, n, mode, census, bound_big, 1, ok)
+    return CensusReport(t, n, mode, census, bound_big, 1, ok)

@@ -2,22 +2,17 @@
 
 Everything here works on plain complex numpy arrays.
 
-All fractional powers go through an eigendecomposition; ``pd_tol`` is
+All fractional powers go through an eigendecomposition; ``PD_TOL`` is
 relative to the largest eigenvalue magnitude.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    NotPositiveDefinite,
-)
+from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
 PD_TOL = 1e-10
 IMAG_TOL = 1e-9
@@ -29,96 +24,74 @@ def hermitize(M) -> np.ndarray:
     return (M + M.conj().T) / 2
 
 
-def real_trace(value: complex, tol: float = IMAG_TOL) -> float:
+def real_trace(value: complex) -> float:
     """Discard the imaginary part of a trace that must be real."""
-    if abs(value.imag) >= tol * (1 + abs(value.real)):
+    if abs(value.imag) >= IMAG_TOL * (1 + abs(value.real)):
         raise DomainError(f"trace has non-negligible imaginary part {value.imag}")
     return float(value.real)
 
 
-@dataclass(frozen=True)
-class RationalExponent:
-    """A reduced fraction p/q in [-1, 2] driving every construction."""
+class RationalExponent(Fraction):
+    """A reduced fraction p/q in [-1, 2] driving every construction; its
+    arithmetic gives plain Fractions, which may leave that range."""
 
-    p: int
-    q: int
-
-    def __init__(self, p: int, q: int = 1):
+    def __new__(cls, p: int, q: int = 1):
         if q == 0:
             raise DomainError("zero denominator")
-        f = Fraction(p, q)
-        if not (-1 <= f <= 2):
-            raise DomainError(f"exponent {f} outside the representable range [-1, 2]")
-        object.__setattr__(self, "p", f.numerator)
-        object.__setattr__(self, "q", f.denominator)
+        self = super().__new__(cls, p, q)
+        if not -1 <= self <= 2:
+            raise DomainError(f"exponent {self} outside the representable range [-1, 2]")
+        return self
+
+    p = Fraction.numerator  # read-only aliases
+    q = Fraction.denominator
 
     @classmethod
     def parse(cls, text: str) -> "RationalExponent":
         """Parse a 'p/q' or integer string; decimals are rejected."""
         parts = text.strip().split("/")
         try:
-            if len(parts) == 1:
-                return cls(int(parts[0]))
-            if len(parts) == 2:
-                return cls(int(parts[0]), int(parts[1]))
+            if len(parts) <= 2:
+                return cls(*map(int, parts))
         except ValueError:
             pass
         raise DomainError(f"cannot parse rational exponent {text!r} (use p/q)")
 
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
 
-    @property
-    def concave_range(self) -> bool:
-        return 0 <= self.fraction <= 1
-
-    @property
-    def convex_range(self) -> bool:
-        f = self.fraction
-        return -1 <= f <= 0 or 1 <= f <= 2
-
-    def __float__(self) -> float:
-        return self.p / self.q
-
-    def __str__(self) -> str:
-        return f"{self.p}/{self.q}" if self.q != 1 else str(self.p)
-
-
-def _eigh_pd(A: np.ndarray, pd_tol: float):
+def _eigh_pd(A: np.ndarray):
     w, U = np.linalg.eigh(A)
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    if w[0] <= pd_tol * scale:
+    if w[0] <= PD_TOL * scale:
         raise NotPositiveDefinite(
             f"matrix is not positive definite (min eig {w[0]:.3e}, max {scale:.3e})"
         )
     return w, U
 
 
-def herm_power(A, t: float, pd_tol: float = PD_TOL) -> np.ndarray:
+def herm_power(A, t: float) -> np.ndarray:
     """Fractional power A^t of a Hermitian positive definite matrix."""
     A = hermitize(A)
-    w, U = _eigh_pd(A, pd_tol)
+    w, U = _eigh_pd(A)
     return hermitize(U @ np.diag(w ** float(t)) @ U.conj().T)
 
 
-def herm_log(A, pd_tol: float = PD_TOL) -> np.ndarray:
+def herm_log(A) -> np.ndarray:
     """Matrix logarithm of a Hermitian positive definite matrix."""
     A = hermitize(A)
-    w, U = _eigh_pd(A, pd_tol)
+    w, U = _eigh_pd(A)
     return hermitize(U @ np.diag(np.log(w)) @ U.conj().T)
 
 
-def geometric_mean(A, B, t: float, pd_tol: float = PD_TOL) -> np.ndarray:
+def geometric_mean(A, B, t: float) -> np.ndarray:
     """t-weighted geometric mean A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}."""
     A = hermitize(A)
     B = hermitize(B)
     if A.shape != B.shape:
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-    w, U = _eigh_pd(A, pd_tol)
+    w, U = _eigh_pd(A)
     Ah = U @ np.diag(np.sqrt(w)) @ U.conj().T
     Aih = U @ np.diag(1 / np.sqrt(w)) @ U.conj().T
-    mid = herm_power(Aih @ B @ Aih, t, pd_tol)
+    mid = herm_power(Aih @ B @ Aih, t)
     return hermitize(Ah @ mid @ Ah)
 
 
@@ -141,7 +114,7 @@ def vec_rows(K) -> np.ndarray:
     return np.asarray(K, dtype=complex).reshape(-1, 1)
 
 
-def lieb_value(K, A, B, t: float, pd_tol: float = PD_TOL) -> float:
+def lieb_value(K, A, B, t: float) -> float:
     """tr[K* A^{1-t} K B^t] for PD A (n x n), PD B (m x m), K n x m."""
     K = np.asarray(K, dtype=complex)
     A = hermitize(A)
@@ -150,21 +123,20 @@ def lieb_value(K, A, B, t: float, pd_tol: float = PD_TOL) -> float:
         raise DimensionMismatch(
             f"K has shape {K.shape}, expected {(A.shape[0], B.shape[0])}"
         )
-    Ap = herm_power(A, 1 - t, pd_tol)
-    Bp = herm_power(B, t, pd_tol)
+    Ap = herm_power(A, 1 - t)
+    Bp = herm_power(B, t)
     return real_trace(np.trace(K.conj().T @ Ap @ K @ Bp))
 
 
-def tsallis_entropy(A, t: float, pd_tol: float = PD_TOL) -> float:
+def tsallis_entropy(A, t: float) -> float:
     """Tsallis entropy (1/t) tr[A^{1-t} - A] for t in (0, 1]."""
     if not 0 < t <= 1:
         raise DomainError(f"Tsallis parameter t={t} outside (0, 1]")
     A = hermitize(A)
-    _eigh_pd(A, pd_tol)
-    return real_trace(np.trace(herm_power(A, 1 - t, pd_tol) - A)) / t
+    return real_trace(np.trace(herm_power(A, 1 - t) - A)) / t
 
 
-def tsallis_rel_entropy(A, B, t: float, pd_tol: float = PD_TOL) -> float:
+def tsallis_rel_entropy(A, B, t: float) -> float:
     """Tsallis relative entropy (1/t) tr[A - A^{1-t} B^t] for t in (0, 1]."""
     if not 0 < t <= 1:
         raise DomainError(f"Tsallis parameter t={t} outside (0, 1]")
@@ -173,21 +145,21 @@ def tsallis_rel_entropy(A, B, t: float, pd_tol: float = PD_TOL) -> float:
     if A.shape != B.shape:
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
     n = A.shape[0]
-    return (real_trace(np.trace(A)) - lieb_value(np.eye(n), A, B, t, pd_tol)) / t
+    return (real_trace(np.trace(A)) - lieb_value(np.eye(n), A, B, t)) / t
 
 
-def von_neumann_entropy(A, pd_tol: float = PD_TOL) -> float:
+def von_neumann_entropy(A) -> float:
     """-tr[A log A] via eigendecomposition."""
-    return -real_trace(np.trace(hermitize(A) @ herm_log(A, pd_tol)))
+    return -real_trace(np.trace(hermitize(A) @ herm_log(A)))
 
 
-def quantum_rel_entropy(A, B, pd_tol: float = PD_TOL) -> float:
+def quantum_rel_entropy(A, B) -> float:
     """tr[A (log A - log B)] via eigendecomposition."""
     A = hermitize(A)
-    return real_trace(np.trace(A @ (herm_log(A, pd_tol) - herm_log(B, pd_tol))))
+    return real_trace(np.trace(A @ (herm_log(A) - herm_log(B))))
 
 
-def upsilon_value(K, A, t: float, pd_tol: float = PD_TOL) -> float:
+def upsilon_value(K, A, t: float) -> float:
     """tr[(K* A^t K)^{1/t}] for PD A and t != 0.
 
     K* A^t K must be positive definite (K full column rank); a singular
@@ -200,18 +172,18 @@ def upsilon_value(K, A, t: float, pd_tol: float = PD_TOL) -> float:
     A = hermitize(A)
     if K.shape[0] != A.shape[0]:
         raise DimensionMismatch(f"K has {K.shape[0]} rows, A is {A.shape[0]} x {A.shape[0]}")
-    M = hermitize(K.conj().T @ herm_power(A, t, pd_tol) @ K)
-    return real_trace(np.trace(herm_power(M, 1 / t, pd_tol)))
+    M = hermitize(K.conj().T @ herm_power(A, t) @ K)
+    return real_trace(np.trace(herm_power(M, 1 / t)))
 
 
-def fidelity_value(A, B, pd_tol: float = PD_TOL) -> float:
+def fidelity_value(A, B) -> float:
     """tr[(A^{1/2} B A^{1/2})^{1/2}] for PD A, B of equal dimension."""
     A = hermitize(A)
     B = hermitize(B)
     if A.shape != B.shape:
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-    Ah = herm_power(A, 0.5, pd_tol)
-    return real_trace(np.trace(herm_power(Ah @ B @ Ah, 0.5, pd_tol)))
+    Ah = herm_power(A, 0.5)
+    return real_trace(np.trace(herm_power(Ah @ B @ Ah, 0.5)))
 
 
 def floor_log2(q: int) -> int:

@@ -21,14 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, WrongExponent
-from .geomean import Construction, _as_fraction, _fresh_target, emit
-from .kernel import (
-    RationalExponent,
-    herm_power,
-    hermitize,
-    kron,
-    vec_rows,
-)
+from .geomean import Construction, _fresh_target, emit
+from .kernel import RationalExponent, herm_power, hermitize, kron, vec_rows
 from .model import AffineBlock, LinearFunctional, ModelBuilder, VarId, WitnessAssignment
 
 
@@ -51,13 +45,14 @@ def _geodesic(b: ModelBuilder, letter: str, dim: int, t: Fraction, A, B) -> VarI
     return T.terms[0].var
 
 
-def _pinch(b: ModelBuilder, tau: VarId, terms, concave: bool):
-    """Bound tau by f, the functional of ``terms``, which include -tau:
-    f >= 0 with tau maximized in the concave range, else -f >= 0 with tau
-    minimized.  tau's recipe makes the bound tight."""
-    if not concave:
-        terms = [(v, -M) for v, M in terms]
-    f = LinearFunctional(0.0, terms)
+def _pinch(b: ModelBuilder, tau: VarId, constant: float, terms, concave: bool):
+    """Bound tau by f = ``constant`` + the functional of ``terms``, which
+    include a negative multiple of tau: f >= 0 with tau maximized in the
+    concave range, else -f >= 0 with tau minimized.  tau's recipe makes the
+    bound tight."""
+    if not concave:  # 0.0 - c rather than -c keeps a zero constant +0.0
+        constant, terms = 0.0 - constant, [(v, -M) for v, M in terms]
+    f = LinearFunctional(constant, terms)
     b.add_scalar(f, label="pinch")
     b.add_recipe(tau, "scalar_tight", f)
     sense = "maximize" if concave else "minimize"
@@ -79,12 +74,11 @@ def build_lieb(K, A, B, t: RationalExponent) -> Construction:
     n, m = A.shape[0], B.shape[0]
     if K.shape != (n, m):
         raise DimensionMismatch(f"K must be {n} x {m}, got {K.shape}")
-    t = _as_fraction(t)
     b = ModelBuilder()
     Tvar = _geodesic(b, "T", n * m, t, _lift_left(A, m), _lift_right(B, n))
     v = vec_rows(K)
     tau = b.fresh_var("tau", 1, kind="real")
-    _pinch(b, tau, [(Tvar, v @ v.conj().T), (tau, -np.eye(1))], 0 <= t <= 1)
+    _pinch(b, tau, 0.0, [(Tvar, v @ v.conj().T), (tau, -np.eye(1))], 0 <= t <= 1)
     return Construction.of(b, Tvar, aux={"tau": tau})
 
 
@@ -98,7 +92,6 @@ def build_kron_power(A, B, s, t) -> Construction:
     When s + t < 1 the deficit is absorbed by one extra geodesic
     against the identity.
     """
-    s, t = _as_fraction(s), _as_fraction(t)
     if s < 0 or t < 0 or not 0 < s + t <= 1:
         raise WrongExponent(f"need s,t >= 0 and 0 < s+t <= 1, got s={s}, t={t}")
     A, B = hermitize(A), hermitize(B)
@@ -123,21 +116,20 @@ def build_multivariate(mats, weights) -> Construction:
     ``weights`` are nonnegative rationals summing to 1; matrices are
     eliminated left to right, one lifted geodesic per step.
     """
-    weights = [_as_fraction(w) for w in weights]
     _check_weights(weights, len(mats))
     mats = [hermitize(M) for M in mats]
     dims = [M.shape[0] for M in mats]
-    cur = AffineBlock.constant(mats[0])
     acc = weights[0]
     b = ModelBuilder()
     for i in range(1, len(mats)):
         d_left, d_right = int(np.prod(dims[: i + 1])), dims[i]
         acc += weights[i]
         w = weights[i] / acc
-        LA = _lift_block_left(cur, d_right)
+        # the first matrix, then the last geodesic, lifted by (x) I
+        LA = (_lift_left(mats[0], d_right) if i == 1
+              else AffineBlock.of_var(Tvar, kr=np.eye(d_right)))
         LB = _lift_right(mats[i], d_left // d_right, conjugate=False)
         Tvar = _geodesic(b, "S" if i < len(mats) - 1 else "T", d_left, w, LA, LB)
-        cur = AffineBlock.of_var(Tvar)
     b.set_objective("maximize", LinearFunctional(0.0, [(Tvar, np.eye(d_left))]))
     return Construction.of(b, Tvar)
 
@@ -150,28 +142,12 @@ def _check_weights(weights, k: int):
         raise WrongExponent(f"weights must be nonnegative and sum to 1, got {weights}")
 
 
-def _lift_block_left(blk: AffineBlock, m: int) -> AffineBlock:
-    """X |-> X (x) I_m for a constant block or a plain variable block."""
-    from .model import ConstTerm, VarTerm
-
-    terms = []
-    for term in blk.terms:
-        if isinstance(term, ConstTerm):
-            terms.append(ConstTerm(kron(term.matrix, np.eye(m))))
-        elif isinstance(term, VarTerm) and term.kl is None and term.kr is None:
-            terms.append(VarTerm(term.var, term.coeff, term.op, kr=np.eye(m)))
-        else:  # pragma: no cover
-            raise DomainError("cannot lift a compound block")
-    return AffineBlock(blk.dim * m, terms)
-
-
 # ---------------------------------------------------------------------------
 # Tsallis entropies
 
 
 def build_tsallis_entropy(A, t: RationalExponent) -> Construction:
     """Model whose optimum is S_t(A) = (tr A^{1-t} - tr A)/t, t in (0,1]."""
-    t = _as_fraction(t)
     if not 0 < t <= 1:
         raise WrongExponent(f"Tsallis entropy requires t in (0,1], got {t}")
     A = hermitize(A)
@@ -188,7 +164,6 @@ def build_tsallis_entropy(A, t: RationalExponent) -> Construction:
 
 def build_tsallis_rel_entropy(A, B, t: RationalExponent) -> Construction:
     """Model whose optimum is S_t(A||B) = (tr A - tr[A^{1-t} B^t])/t."""
-    t = _as_fraction(t)
     if not 0 < t <= 1:
         raise WrongExponent(f"Tsallis relative entropy requires t in (0,1], got {t}")
     A, B = hermitize(A), hermitize(B)
@@ -198,15 +173,9 @@ def build_tsallis_rel_entropy(A, B, t: RationalExponent) -> Construction:
     b = ModelBuilder()
     Tvar = _geodesic(b, "T", n * n, t, _lift_left(A, n), _lift_right(B, n))
     v = vec_rows(np.eye(n))
-    vv = v @ v.conj().T
-    ct = float(t)
     sigma = b.fresh_var("sigma", 1, kind="real")
-    f = LinearFunctional(
-        -np.trace(A).real, [(Tvar, vv), (sigma, ct * np.eye(1))]
-    )
-    b.add_scalar(f, label="pinch")
-    b.add_recipe(sigma, "scalar_tight", f)
-    b.set_objective("minimize", LinearFunctional(0.0, [(sigma, np.eye(1))]))
+    terms = [(Tvar, -(v @ v.conj().T)), (sigma, -float(t) * np.eye(1))]
+    _pinch(b, sigma, np.trace(A).real, terms, concave=False)
     return Construction.of(b, Tvar, aux={"sigma": sigma})
 
 
@@ -223,7 +192,6 @@ def build_upsilon(K, A, t: RationalExponent) -> Construction:
     reported optimum by t (``report_divisor``) to get Upsilon itself.
     """
     K = np.asarray(K, dtype=complex)
-    t = _as_fraction(t)
     if t == 0:
         raise WrongExponent("Upsilon is undefined at t = 0")
     s = 1 - t
@@ -245,14 +213,14 @@ def build_upsilon(K, A, t: RationalExponent) -> Construction:
         terms.append((Xvar, -float(s) * np.eye(m)))
     b.add_recipe(Tvar, "geomean", (s, LA, LX))
     emit(b, LA, LX, AffineBlock.of_var(Tvar), s)
-    _pinch(b, tau, terms, 0 <= s <= 1)
+    _pinch(b, tau, 0.0, terms, 0 <= s <= 1)
     return Construction.of(b, Tvar, aux=aux, report_divisor=float(t))
 
 
 def upsilon_equality_witness(K, A, t, construction: Construction) -> WitnessAssignment:
     """Witness attaining the optimum: X = (K* A^t K)^{1/t}."""
     K = np.asarray(K, dtype=complex)
-    t = float(_as_fraction(t))
+    t = float(t)
     base = {}
     if "X" in construction.aux:
         M = hermitize(K.conj().T @ herm_power(A, t) @ K)

@@ -556,8 +556,8 @@ def check_feasible(model: SdpModel, witness, tol: float = 1e-9) -> FeasibilityRe
 # realification
 
 
-def _matrix_is_real(M, tol: float = 0.0) -> bool:
-    return np.abs(np.asarray(M, dtype=complex).imag).max(initial=0.0) <= tol
+def _matrix_is_real(M) -> bool:
+    return not np.asarray(M, dtype=complex).imag.any()
 
 
 def _real_basis(var: VarId) -> np.ndarray:

@@ -169,11 +169,11 @@ def test_criterion_3_geomean_exactness(capsys, geo_instances):
     fails = []
     for texp, A, B, con in geo_instances:
         res = solve(con.model)
-        tag = f"t={texp.fraction} n={A.shape[0]}"
+        tag = f"t={texp} n={A.shape[0]}"
         if not res.ok:
             fails.append(f"{tag} {not_optimal(res)}")
             continue
-        want = np.trace(geometric_mean(A, B, texp.fraction)).real
+        want = np.trace(geometric_mean(A, B, texp)).real
         rel = abs(res.objective - want) / (1 + abs(want))
         worst = max(worst, rel)
         if rel > 1e-6:
@@ -190,7 +190,7 @@ def test_criterion_4_witness_feasibility(capsys, geo_instances):
     for texp, A, B, con in geo_instances:
         wit = con.make_witness()
         if not check_feasible(con.model, wit, tol=1e-9).ok:
-            fails.append(f"t={texp.fraction} n={A.shape[0]}")
+            fails.append(f"t={texp} n={A.shape[0]}")
     announce(capsys, 4, not fails,
              fails[:5] or f"proof witnesses feasible at 1e-9 on all "
                           f"{len(geo_instances)} instances")
@@ -210,7 +210,7 @@ def test_criterion_5_lieb_exactness(capsys):
         if not res.ok:
             fails.append(f"t={t} {not_optimal(res)} sizes_ok={sizes_ok}")
             continue
-        want = lieb_value(K, A, B, texp.fraction)
+        want = lieb_value(K, A, B, texp)
         rel = abs(res.objective / con.report_divisor - want) / (1 + abs(want))
         worst = max(worst, rel)
         if not (rel <= 1e-6 and sizes_ok):
@@ -225,9 +225,9 @@ def test_criterion_5_lieb_exactness(capsys):
 def test_criterion_6_carlen_lieb(capsys):
     fails = []
     for t, texp, K, A, con in upsilon_instances():
-        want = upsilon_value(K, A, texp.fraction)
+        want = upsilon_value(K, A, texp)
         res = solve(con.model)
-        wit = upsilon_equality_witness(K, A, texp.fraction, con)
+        wit = upsilon_equality_witness(K, A, texp, con)
         feas = check_feasible(con.model, wit, tol=1e-8).ok
         witval = con.model.objective.functional.evaluate(wit) / con.report_divisor
         tight = abs(witval - want) / (1 + abs(want)) <= 1e-8

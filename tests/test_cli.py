@@ -118,6 +118,14 @@ class TestCount:
         out = capsys.readouterr().out
         assert "within bounds" in out
 
+    def test_rows_cover_minus_one_to_two_by_mode(self, capsys):
+        # each reduced p/q in [-1, 2] once, labelled by the construction
+        # that ran: t = 0 is a hypograph, and 3/2 and 2 are epigraphs
+        assert main(["count", "--qmax", "2"]) == 0
+        rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:-1]]
+        assert rows == [["-1", "epi"], ["0", "hyp"], ["1", "hyp"], ["2", "epi"],
+                        ["-1/2", "epi"], ["1/2", "hyp"], ["3/2", "epi"]]
+
 
     @pytest.mark.parametrize("qmax", ["0", "-3"])
     def test_qmax_below_one_exit_2(self, qmax, capsys):

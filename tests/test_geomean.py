@@ -82,7 +82,7 @@ class TestWitness:
         wit = con.make_witness()
         assert check_feasible(con.model, wit, tol=1e-9).ok
         got = con.model.objective.functional.evaluate(wit)
-        want = np.trace(geometric_mean(A, B, texp.fraction)).real
+        want = np.trace(geometric_mean(A, B, texp)).real
         assert abs(got - want) <= 1e-9 * (1 + abs(want))
 
 
@@ -94,7 +94,7 @@ class TestSolver:
         con = build_geomean(GeoMeanTask(texp, 2, A=A, B=B))
         res = solve(con.model)
         assert res.ok
-        want = np.trace(geometric_mean(A, B, texp.fraction)).real
+        want = np.trace(geometric_mean(A, B, texp)).real
         assert abs(res.objective - want) <= 1e-6 * (1 + abs(want))
 
 

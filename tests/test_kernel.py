@@ -1,5 +1,7 @@
 """Oracle-level checks: powers, means, lifts, entropies, fidelity."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,8 +35,8 @@ class TestRationalExponent:
         assert (t.p, t.q) == (1, 2)
 
     def test_parse(self):
-        assert RationalExponent.parse("5/8").fraction == 0.625
-        assert RationalExponent.parse("2").fraction == 2
+        assert RationalExponent.parse("5/8") == 0.625
+        assert RationalExponent.parse("2") == 2
         assert RationalExponent.parse("-1/2").p == -1
 
     @pytest.mark.parametrize("bad", ["0.5", "1/2/3", "a/b", ""])
@@ -48,11 +50,14 @@ class TestRationalExponent:
         with pytest.raises(DomainError):
             RationalExponent(-3, 2)
 
-    def test_ranges_flags(self):
-        assert RationalExponent(1, 2).concave_range
-        assert not RationalExponent(3, 2).concave_range
-        assert RationalExponent(3, 2).convex_range
-        assert RationalExponent(-1, 2).convex_range
+    def test_is_a_fraction(self):
+        t = RationalExponent(1, 2)
+        assert t == Fraction(1, 2)
+        assert isinstance(t, Fraction)
+        assert [str(RationalExponent(p, q)) for p, q in ((-1, 2), (4, 2), (0, 5))] == ["-1/2", "2", "0"]
+        assert float(RationalExponent(1, 3)) == 1 / 3
+        with pytest.raises(AttributeError):
+            t.q = 3
 
 
 class TestBits:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tracelift.errors import WrongExponent
 from tracelift.instances import random_density, random_matrix, random_pd
 from tracelift.kernel import (
     RationalExponent,
@@ -45,7 +46,7 @@ class TestLieb:
         con = build_lieb(K, A, B, texp)
         wit = con.make_witness()
         assert check_feasible(con.model, wit, tol=1e-9).ok
-        want = lieb_value(K, A, B, texp.fraction)
+        want = lieb_value(K, A, B, texp)
         assert _rel(_report(con, wit), want) < 1e-10
 
     def test_block_sizes(self, kab):
@@ -57,6 +58,12 @@ class TestLieb:
         con = build_lieb(K, A, B, RationalExponent(1, 3))
         assert all(size in (2 * n * m, n * m) for size, _ in con.model.lmi_census())
         assert con.model.scalar_count == 1
+
+    def test_float_exponent_rejected(self, kab):
+        # a builder takes t as a rational; 0.5 is not read as 1/2
+        K, A, B = kab
+        with pytest.raises(WrongExponent):
+            build_lieb(K, A, B, 0.5)
 
     def test_imaginary_k_takes_the_real_path(self, rng):
         # K = iR is complex, but with real A and B the slices and the pinch's
@@ -70,7 +77,7 @@ class TestLieb:
         assert var_map[con.target].kind == "real"
         res = solve(con.model)
         assert res.ok
-        assert _rel(res.objective, lieb_value(K, A, B, texp.fraction)) <= 1e-6
+        assert _rel(res.objective, lieb_value(K, A, B, texp)) <= 1e-6
 
     def test_joint_concavity_midpoint(self, rng):
         # tr[K* A^{1-t} K B^t] is jointly concave for t in (0, 1)
@@ -93,7 +100,7 @@ class TestKronPower:
         wit = con.make_witness()
         assert check_feasible(con.model, wit, tol=1e-9).ok
         want = np.trace(
-            kron(herm_power(A, se.fraction), herm_power(B, te.fraction))
+            kron(herm_power(A, se), herm_power(B, te))
         ).real
         assert _rel(_report(con, wit), want) < 1e-9
 
@@ -136,9 +143,9 @@ class TestUpsilon:
         K, A, _ = kab
         texp = RationalExponent.parse(t)
         con = build_upsilon(K, A, texp)
-        wit = upsilon_equality_witness(K, A, texp.fraction, con)
+        wit = upsilon_equality_witness(K, A, texp, con)
         assert check_feasible(con.model, wit, tol=1e-8).ok
-        want = upsilon_value(K, A, texp.fraction)
+        want = upsilon_value(K, A, texp)
         assert _rel(_report(con, wit), want) < 1e-8
 
     def test_variational_inequality(self, rng):

@@ -85,7 +85,7 @@ class TestInteriorIterates:
         con = build_upsilon(K, A, t)
         res = solve(con.model)
         assert res.ok, (res.status, res.iterations, res.duality_gap)
-        want = upsilon_value(K, A, t.fraction)
+        want = upsilon_value(K, A, t)
         assert abs(res.objective / con.report_divisor - want) / (1 + abs(want)) <= 1e-6
 
 
@@ -99,7 +99,7 @@ def lieb_two_thirds():
     K = random_matrix(2, 3, rng)
     A, B = random_pd(2, rng), random_pd(3, rng)
     t = RationalExponent.parse("2/3")
-    return build_lieb(K, A, B, t).model, lieb_value(K, A, B, t.fraction)
+    return build_lieb(K, A, B, t).model, lieb_value(K, A, B, t)
 
 
 class TestDivergence:
