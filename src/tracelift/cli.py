@@ -15,7 +15,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import IoError, NotPositiveDefinite, TraceliftError
+from .errors import DomainError, IoError, NotPositiveDefinite, TraceliftError
 from .geomean import census_text, lmi_census_audit
 from .instances import FUNCTIONS
 from .kernel import RationalExponent, _eigh_pd, hermitize
@@ -23,10 +23,20 @@ from .model import check_feasible, realify
 from .sdpa import export_sdpa
 from .solver import solve
 
+
+def _parse_weights(text: str) -> list:
+    """Comma-separated 'p/q' or integer weights; decimals are rejected, as
+    `RationalExponent.parse` rejects them."""
+    try:
+        return [Fraction(*map(int, w.split("/", 1))) for w in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"cannot parse weights {text!r} (use p/q)")
+
+
 _PARSE = {
     "t": RationalExponent.parse,
     "s": RationalExponent.parse,
-    "weights": lambda text: [Fraction(w) for w in text.split(",")],
+    "weights": _parse_weights,
 }
 
 

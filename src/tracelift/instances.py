@@ -18,7 +18,6 @@ import numpy as np
 
 from .geomean import GeoMeanTask, build_geomean
 from .kernel import (
-    RationalExponent,
     fidelity_value,
     geometric_mean,
     herm_power,
@@ -90,8 +89,8 @@ class Function:
     ``p`` each parameter to its value: ``t`` and ``s`` as RationalExponent,
     ``weights`` as a list of Fractions.  ``builder``, ``closed_form`` and
     ``witness_recipe`` take the values named by ``args`` in that order, the
-    oracle with the exponents as floats and the witness recipe followed by
-    the construction; without a recipe the witness is ``con.make_witness()``.
+    witness recipe followed by the construction; without a recipe the
+    witness is ``con.make_witness()``.
     ``check(p, given)`` rejects parameters that do not fit each other or
     the matrices given.
     """
@@ -137,8 +136,7 @@ class Function:
         return self.builder(*self._values(data, p))
 
     def oracle(self, data, p) -> float:
-        return self.closed_form(*(
-            float(v) if isinstance(v, RationalExponent) else v for v in self._values(data, p)))
+        return self.closed_form(*self._values(data, p))
 
     def witness(self, data, p, con):
         if self.witness_recipe is None:

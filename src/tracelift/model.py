@@ -254,12 +254,6 @@ class Slices(NamedTuple):
     p: np.ndarray
     v: np.ndarray
 
-    def coords(self, offsets) -> np.ndarray:
-        """The model coordinate of each slice; ``offsets`` maps each variable
-        to its first coordinate, as ``SdpModel.coord_offsets`` gives it."""
-        return np.array([offsets[v] + k for v in self.vars for k in range(len(var_basis(v)))],
-                        dtype=int)
-
 
 class LmiConstraint:
     """A PSD constraint on the real coordinates of its variables, held as
@@ -364,16 +358,14 @@ class LinearFunctional:
         return val
 
     def coeffs(self, offsets, m: int) -> np.ndarray:
-        """Coefficients of all ``m`` real coordinates, with ``offsets`` as for
-        ``Slices.coords``."""
+        """Coefficients of all ``m`` real coordinates; ``offsets`` maps each
+        variable to its first coordinate, as ``SdpModel.coord_offsets``
+        gives it."""
         out = np.zeros(m)
         for v, M in self.terms:
             basis = var_basis(v)
             out[offsets[v]:offsets[v] + len(basis)] += np.trace(M @ basis, axis1=1, axis2=2).real
         return out
-
-    def vars(self) -> set:
-        return {v for v, _ in self.terms}
 
 
 class ScalarConstraint:
@@ -382,12 +374,6 @@ class ScalarConstraint:
     def __init__(self, functional: LinearFunctional, label: str = ""):
         self.functional = functional
         self.label = label
-
-    def slack(self, assignment) -> float:
-        return self.functional.evaluate(assignment)
-
-    def vars(self) -> set:
-        return self.functional.vars()
 
 
 @dataclass
@@ -539,7 +525,7 @@ def check_feasible(model: SdpModel, witness, tol: float = 1e-9) -> FeasibilityRe
             ConstraintCheck(lmi.label or f"lmi{i}", "lmi", mineig, thr, mineig >= -thr)
         )
     for i, sc in enumerate(model.scalars):
-        slack = sc.slack(assignment)
+        slack = sc.functional.evaluate(assignment)
         scale = 1 + abs(sc.functional.constant)
         for v, M in sc.functional.terms:
             scale += abs(np.trace(M @ assignment[v]).real)
@@ -669,3 +655,33 @@ def embed_witness(var_map, witness) -> WitnessAssignment:
         X = as_matrix(witness[v], v.dim)
         out[nv] = phi(X) if nv.kind == "phi" else X.real.astype(float)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the canonical form
+
+
+def canonical(model: SdpModel):
+    """The one form of a realified model that the solver and `export_sdpa`
+    read: ``(b, constant, blocks, offsets)`` for
+
+        maximize  b'y + constant   s.t.   G0 + sum_k y_k A_k >= 0
+
+    on every block, a minimising model's objective negated.  ``blocks``
+    holds (G0, idx, s, p, v) per block: each LMI's `Slices` in model order,
+    with ``idx`` the model coordinate of each slice, then one 1x1 block per
+    scalar constraint, its constant and its nonzero coefficients.
+    ``offsets`` maps each variable to its first coordinate."""
+    obj = model.require_objective()
+    offsets, m = model.coord_offsets()
+    sign = -1.0 if obj.sense == "minimize" else 1.0
+    blocks = []
+    for lmi in model.lmis:
+        sl = lmi.slices()
+        idx = np.array([offsets[v] + k for v in sl.vars for k in range(len(var_basis(v)))], dtype=int)
+        blocks.append((sl.G0, idx, sl.s, sl.p, sl.v))
+    for sc in model.scalars:
+        c = sc.functional.coeffs(offsets, m)
+        k = np.flatnonzero(c)
+        blocks.append((np.array([[sc.functional.constant]]), np.arange(m), k, np.zeros_like(k), c[k]))
+    return sign * obj.functional.coeffs(offsets, m), sign * obj.functional.constant, blocks, offsets

@@ -1,12 +1,14 @@
 """SDPA sparse format (.dat-s) export and import.
 
-A realified model
+A realified model, in the canonical form that `model.canonical` gives it
+and that the solver reads too,
 
-    maximize b'y   s.t.   G0_b + sum_k y_k G_bk >= 0,  scalars f_j(y) >= 0
+    maximize b'y + constant   s.t.   G0_b + sum_k y_k G_bk >= 0,
 
 maps onto the SDPA problem  min c'x, sum_i x_i F_i - F0 >= 0  via
-c = -b, F_k = G_k, F0 = -G0.  Scalar constraints become one diagonal
-block (negative size in the header, as SDPA prescribes).  Floats are
+c = -b, F_k = G_k, F0 = -G0.  The 1x1 blocks of the scalar constraints
+become the rows of one diagonal block (negative size in the header, as
+SDPA prescribes).  Floats are
 written with ``repr`` so that export -> import -> export is
 byte-identical.  SDPA has no objective constant; a nonzero one is
 written on a leading comment line, which SDPA readers skip.
@@ -27,6 +29,7 @@ from .model import (
     SdpModel,
     Slices,
     VarId,
+    canonical,
 )
 
 
@@ -44,16 +47,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _entries(matnos, blk, vals, rows, cols):
-    """(matno, blk, i, j, val) columns of the nonzeros of ``vals``, whose row
-    p belongs to matrix ``matnos[p]`` and whose column q to entry
-    (rows[q], cols[q]), in row-major order."""
-    p, q = np.nonzero(vals)
-    return matnos[p], np.full(len(p), blk), rows[q] + 1, cols[q] + 1, vals[p, q]
-
-
 def export_sdpa(model: SdpModel, path) -> None:
-    """Write a realified model in SDPA sparse format.
+    """Write a realified model in SDPA sparse format, from its
+    `model.canonical` form.
 
     SDPA has no objective constant, so a nonzero
     ``objective.functional.constant`` goes on a leading comment line
@@ -64,40 +60,31 @@ def export_sdpa(model: SdpModel, path) -> None:
     """
     if not model.realified:
         raise NotRealified("export requires a realified model")
-    obj = model.require_objective()
-    offsets, m = model.coord_offsets()
-
-    flip = -1.0 if obj.sense == "minimize" else 1.0
-    # SDPA minimizes c'x; our canonical form maximizes b'y
-    c = -flip * obj.functional.coeffs(offsets, m) + 0.0
-
+    b, constant, blocks, _ = canonical(model)
+    nl = len(model.lmis)
     sizes = [lmi.size for lmi in model.lmis]
-    parts = []
-    for bno, lmi in enumerate(model.lmis, start=1):
-        sl = lmi.slices()
-        rows, cols = np.triu_indices(lmi.size)
-        F0 = _real_or_raise(-sl.G0, f"matrix 0, block {bno}")
-        parts.append(_entries(np.zeros(1, dtype=int), bno, F0[None, rows, cols], rows, cols))
-        # the held nonzeros in the upper triangle, already in slice and row-major order
-        i, j = np.divmod(sl.p, lmi.size)
-        up = i <= j
-        parts.append((sl.coords(offsets)[sl.s[up]] + 1, np.full(up.sum(), bno), i[up] + 1, j[up] + 1,
-                      _real_or_raise(sl.v[up], f"block {bno}")))
     if model.scalars:
         sizes.append(-len(model.scalars))
-        bno, diag = len(sizes), np.arange(len(model.scalars))
-        F0 = np.array([[-sc.functional.constant for sc in model.scalars]])
-        parts.append(_entries(np.zeros(1, dtype=int), bno, F0, diag, diag))
-        F = np.array([sc.functional.coeffs(offsets, m) for sc in model.scalars]).T
-        parts.append(_entries(np.arange(1, m + 1), bno, F, diag, diag))
+    parts = []
+    for k, (G0, idx, s, p, v) in enumerate(blocks):
+        # an LMI is block k + 1; a scalar's 1x1 block is row r of the diagonal block
+        bno, r, d = min(k, nl) + 1, max(k - nl, 0), len(G0)
+        F0 = np.triu(_real_or_raise(-G0, f"matrix 0, block {bno}"))
+        i, j = np.nonzero(F0)
+        parts.append((np.zeros(len(i), dtype=int), np.full(len(i), bno), i + r + 1, j + r + 1, F0[i, j]))
+        # the held nonzeros in the upper triangle, already in slice and row-major order
+        i, j = np.divmod(p, d)
+        up = i <= j
+        parts.append((idx[s[up]] + 1, np.full(up.sum(), bno), i[up] + r + 1, j[up] + r + 1,
+                      _real_or_raise(v[up], f"block {bno}")))
     # group by matrix number, keeping block order and row-major order within
     ents = [np.concatenate(col) for col in zip(*parts)] if parts else [np.zeros(0)] * 5
     order = np.argsort(ents[0], kind="stable")
 
-    K = -flip * obj.functional.constant
-    lines = [_CONSTANT + _fmt(K)] if K != 0.0 else []
-    lines += [str(m), str(len(sizes)), " ".join(str(s) for s in sizes),
-             " ".join(_fmt(x) for x in c)]
+    # SDPA minimizes c'x + K with c = -b and K = -constant
+    lines = [_CONSTANT + _fmt(-constant)] if constant != 0.0 else []
+    lines += [str(len(b)), str(len(sizes)), " ".join(str(s) for s in sizes),
+             " ".join(_fmt(x) for x in -b + 0.0)]
     lines += [f"{matno} {blk} {i} {j} {val!r}"
               for matno, blk, i, j, val in zip(*(col[order].tolist() for col in ents))]
     try:

@@ -1,10 +1,12 @@
 """A small dense primal-dual interior-point solver for block SDPs.
 
-Models are solved in the LMI (dual) form
+Models are solved in the LMI (dual) form that `model.canonical` gives,
+the one form that `sdpa.export_sdpa` writes too:
 
     maximize  b' y   subject to   S_b(y) = G0_b + sum_k y_k A_bk >= 0
 
-for every block b, with the matching primal
+for every block b, a scalar constraint being a 1x1 block, with the
+matching primal
 
     minimize  sum_b tr(G0_b X_b)   s.t.  sum_b tr(A_bk X_b) = -b_k.
 
@@ -40,6 +42,7 @@ import numpy as np
 from .model import (
     SdpModel,
     WitnessAssignment,
+    canonical,
     realify,
     var_basis,
 )
@@ -243,22 +246,6 @@ class _Blocks:
         for j, T in enumerate((R, C)):
             self.add_traces(rhs[:, j], T)
         return M, rhs
-
-
-def _assemble(model: SdpModel):
-    """Flatten a realified model into (b, _Blocks); each scalar is a 1x1 block."""
-    obj = model.require_objective()
-    offsets, m = model.coord_offsets()
-    flip = -1.0 if obj.sense == "minimize" else 1.0
-    b = flip * obj.functional.coeffs(offsets, m)
-
-    held = [(sl.G0, sl.coords(offsets), sl.s, sl.p, sl.v)
-            for sl in (lmi.slices() for lmi in model.lmis)]
-    for sc in model.scalars:
-        c = sc.functional.coeffs(offsets, m)
-        k = np.flatnonzero(c)
-        held.append((np.array([[sc.functional.constant]]), np.arange(m), k, np.zeros_like(k), c[k]))
-    return b, _Blocks(held)
 
 
 def _sym(M):
@@ -524,7 +511,8 @@ def solve(model: SdpModel, options: SolveOptions | None = None) -> SolveResult:
     """Solve a model; complex models are realified transparently."""
     opts = options or SolveOptions()
     work, var_map = realify(model)
-    b, blocks = _assemble(work)
+    b, _, held, offsets = canonical(work)
+    blocks = _Blocks(held)
 
     attempts = []
     best = None
@@ -552,7 +540,6 @@ def solve(model: SdpModel, options: SolveOptions | None = None) -> SolveResult:
     # each variable's value: sum_k y_k E_k over the basis matrices that its
     # realified variable keeps, all of them when embedded by phi, else its
     # own basis, the real matrices of the variable's
-    offsets = work.coord_offsets()[0]
     values = WitnessAssignment()
     for v in model.vars:
         nv = var_map[v]

@@ -222,7 +222,8 @@ class TestArgumentChecks:
     @pytest.mark.parametrize("command", ["eval", "emit", "verify"])
     @pytest.mark.parametrize("weights, files", [
         ("1/2,1/4,1/4", True), ("1/2,1/2,1/2", True), ("1/2,1/2,1/2", False), ("3/2,-1/2", False),
-    ], ids=["count", "count-and-sum", "sum", "negative"])
+        ("0.5,0.5", False),
+    ], ids=["count", "count-and-sum", "sum", "negative", "decimal"])
     def test_multivariate_weights_exit_2(self, command, weights, files, diag_files, tmp_path, capsys):
         extra = {"eval": [], "emit": ["--out", str(tmp_path / "m.dat-s")],
                  "verify": ["--trials", "1"]}[command]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tracelift.errors import WrongExponent
-from tracelift.instances import random_density, random_matrix, random_pd
+from tracelift.instances import FUNCTIONS, random_density, random_matrix, random_pd
 from tracelift.kernel import (
     RationalExponent,
     fidelity_value,
@@ -78,6 +78,14 @@ class TestLieb:
         res = solve(con.model)
         assert res.ok
         assert _rel(res.objective, lieb_value(K, A, B, texp)) <= 1e-6
+
+    def test_function_oracle_takes_the_exponent_as_given(self):
+        # the table's oracle is the library's: 1 - t is formed from the
+        # rational 1/3, not from the float nearest to it
+        t = RationalExponent(1, 3)
+        p, fn = {"t": t}, FUNCTIONS["lieb"]
+        data = fn.draw(p, 2, np.random.default_rng(0))
+        assert fn.oracle(data, p) == lieb_value(data["K"], data["A"], data["B"], t)
 
     def test_joint_concavity_midpoint(self, rng):
         # tr[K* A^{1-t} K B^t] is jointly concave for t in (0, 1)

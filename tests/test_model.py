@@ -6,13 +6,14 @@ import pytest
 from tracelift.errors import MissingAssignment, NoObjective
 from tracelift.instances import random_pd
 from tracelift.sdpa import export_sdpa
-from tracelift.solver import _assemble, solve
+from tracelift.solver import solve
 from tracelift.model import (
     AffineBlock,
     LinearFunctional,
     LmiConstraint,
     ModelBuilder,
     WitnessAssignment,
+    canonical,
     check_feasible,
     embed_witness,
     model_is_real,
@@ -153,7 +154,7 @@ class TestRealify:
         model = b.freeze()
         rm, var_map = realify(model)
         assert (var_map[T].dim, var_map[T].kind) == (2, "real")
-        _assemble(rm)
+        canonical(rm)
         res = solve(model)
         assert res.ok
         wit = WitnessAssignment({T: res.var_values[T].real})

@@ -11,7 +11,7 @@ from tracelift.lieb import (
     build_kron_power, build_lieb, build_multivariate, build_tsallis_entropy, build_upsilon,
 )
 from tracelift.model import (
-    AffineBlock, LinearFunctional, ModelBuilder, model_is_real, phi, realify, var_basis,
+    AffineBlock, LinearFunctional, ModelBuilder, canonical, model_is_real, phi, realify, var_basis,
 )
 from tracelift.sdpa import export_sdpa, import_sdpa
 from tracelift.solver import solve
@@ -51,6 +51,39 @@ class TestRoundTrip:
         r1, r2 = solve(rm), solve(imported)
         assert r1.ok and r2.ok
         assert abs(r1.objective - r2.objective) < 1e-6
+
+    @pytest.mark.parametrize("make", ["lieb 1/2", "lieb 3/2", "tsallis"])
+    def test_canonical_form_survives(self, rng, tmp_path, make):
+        # a maximising model with a scalar, a minimising one, and one with an
+        # objective constant: the form the solver reads is the same after
+        # SDPA, objective and sense included.  Values are compared exactly;
+        # a zero's sign is not kept, as SDPA's c = -b + 0.0 drops it
+        if make == "tsallis":
+            model = build_tsallis_entropy(random_pd(3, rng), RationalExponent(1, 4)).model
+        else:
+            K, A, B = random_matrix(2, 2, rng), random_pd(2, rng), random_pd(2, rng)
+            model = build_lieb(K, A, B, RationalExponent.parse(make.split()[1])).model
+        rm, _ = realify(model)
+        assert (rm.objective.sense, len(rm.scalars)) == {
+            "lieb 1/2": ("maximize", 1), "lieb 3/2": ("minimize", 1), "tsallis": ("maximize", 0)}[make]
+        export_sdpa(rm, tmp_path / "m.dat-s")
+        b, constant, blocks, _ = canonical(import_sdpa(tmp_path / "m.dat-s"))
+        want_b, want_constant, want_blocks, _ = canonical(rm)
+        assert np.array_equal(b, want_b) and constant == want_constant
+        assert (constant != 0.0) is (make == "tsallis")
+        assert len(blocks) == len(want_blocks) == len(rm.lmis) + len(rm.scalars)
+        for (G0, idx, s, p, v), (want_G0, *want) in zip(blocks, want_blocks):
+            assert np.array_equal(G0, want_G0)
+            assert np.array_equal(dense_by_coord(G0, idx, s, p, v, len(b)),
+                                  dense_by_coord(want_G0, *want, len(b)))
+
+
+def dense_by_coord(G0, idx, s, p, v, m):
+    """The slices of a canonical block as an (m, d, d) stack, one matrix
+    for each model coordinate."""
+    A = np.zeros((m, G0.size), dtype=v.dtype)
+    A[idx[s], p] = v
+    return A.reshape(m, *G0.shape)
 
 
 class TestExportErrors:
@@ -254,7 +287,7 @@ def dense(sl, offsets):
     stack of slices; the held columns must be sorted and hold nonzeros."""
     n = len(sl.G0)
     assert np.all(np.diff(sl.s * n * n + sl.p) > 0) and np.all(sl.v != 0)
-    idx = sl.coords(offsets)
+    idx = np.array([offsets[v] + k for v in sl.vars for k in range(len(var_basis(v)))], dtype=int)
     A = np.zeros((len(idx), n * n), dtype=sl.v.dtype)
     A[sl.s, sl.p] = sl.v
     return sl.G0, idx, A.reshape(len(idx), n, n)

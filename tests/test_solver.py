@@ -9,11 +9,9 @@ from tracelift.kernel import (
     RationalExponent, fidelity_value, geometric_mean, lieb_value, upsilon_value,
 )
 from tracelift.lieb import build_fidelity, build_kron_power, build_lieb, build_upsilon
-from tracelift.model import AffineBlock, LinearFunctional, ModelBuilder, realify
+from tracelift.model import AffineBlock, LinearFunctional, ModelBuilder, canonical, realify, var_basis
 from tracelift import solver
-from tracelift.solver import (
-    SolveOptions, _assemble, _Blocks, _chol, _nt_scaling, _second_order, solve,
-)
+from tracelift.solver import SolveOptions, _Blocks, _chol, _nt_scaling, _second_order, solve
 
 
 def scalar_var(b):
@@ -327,12 +325,14 @@ class TestResultContents:
 
 
 def dense_slices(model):
-    """The held slices that _assemble packs, made dense as (G0, idx, A), in
-    model order: one per LMI, then a 1x1 block per scalar constraint."""
+    """The blocks of the model's canonical form, made dense as (G0, idx, A)
+    from each LMI's held slices and each scalar's coefficients, in model
+    order: one per LMI, then a 1x1 block per scalar constraint."""
     offsets, m = model.coord_offsets()
     for lmi in model.lmis:
         sl = lmi.slices()
-        idx, n = sl.coords(offsets), len(sl.G0)
+        idx = np.array([offsets[v] + k for v in sl.vars for k in range(len(var_basis(v)))], dtype=int)
+        n = len(sl.G0)
         A = np.zeros((len(idx), n * n))
         A[sl.s, sl.p] = sl.v
         yield sl.G0, idx, A.reshape(-1, n, n)
@@ -391,7 +391,7 @@ class TestSparseBlock:
             K = random_matrix(2, 3, rng)
             model = build_lieb(K, random_pd(2, rng), random_pd(3, rng), RationalExponent(1, 3)).model
         model, _ = realify(model)
-        _, blocks = _assemble(model)
+        blocks = _Blocks(canonical(model)[2])
         assert any(len(s.order) > 1 for s in blocks.stacks)
         if make == "lieb":
             assert any(s.dim == 1 for s in blocks.stacks)
@@ -437,7 +437,8 @@ class TestNewtonSystem:
         mb.add_scalar(LinearFunctional(1.0, [(T, -np.eye(2))]))
         mb.set_objective("maximize", LinearFunctional(0.0, [(T, np.eye(2))]))
         model, _ = realify(mb.freeze())
-        b, blocks = _assemble(model)
+        b, _, held, _ = canonical(model)
+        blocks = _Blocks(held)
         dense = list(dense_slices(model))
         assert [s.order.tolist() for s in blocks.stacks] == [[0, 1], [2]]
         assert set(blocks.stacks[0].idx[0]) & set(blocks.stacks[0].idx[1])
