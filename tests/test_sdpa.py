@@ -52,7 +52,8 @@ class TestRoundTrip:
         assert r1.ok and r2.ok
         assert abs(r1.objective - r2.objective) < 1e-6
 
-    @pytest.mark.parametrize("make", ["lieb 1/2", "lieb 3/2", "tsallis"])
+    @pytest.mark.parametrize("make", ["lieb 1/2", "lieb 3/2", "tsallis"],
+                             ids=["maximize-scalar", "minimize", "constant"])
     def test_canonical_form_survives(self, rng, tmp_path, make):
         # a maximising model with a scalar, a minimising one, and one with an
         # objective constant: the form the solver reads is the same after
