@@ -62,7 +62,6 @@ from .model import (
     LmiConstraint,
     ModelBuilder,
     Objective,
-    ScalarConstraint,
     SdpModel,
     VarId,
     WitnessAssignment,

@@ -128,7 +128,10 @@ def cmd_emit(args) -> int:
 def cmd_eval(args) -> int:
     fn, p, given = _spec(args)
     data = fn.draw(p, args.n, np.random.default_rng(args.seed), args.complex, given)
-    print(f"{fn.oracle(data, p):.12g}")
+    value = fn.oracle(data, p)
+    if not np.isfinite(value):
+        raise TraceliftError(f"the value {value} is not finite")
+    print(f"{value:.12g}")
     return 0
 
 

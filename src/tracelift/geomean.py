@@ -16,9 +16,10 @@ into small systems of 2n x 2n and n x n LMIs.  The recursion:
   Schur-complement LMI; t in (1, 2] swaps the pair onto 1 - t.  The
   endpoints t = 0 and 1 are compiled as hypographs.
 
-Every auxiliary variable carries a witness recipe (its value along the
-geodesic between the construction's slot values), so proof-derived
-witnesses come out of the same recursion that emits the LMIs.
+Every auxiliary variable carries a witness recipe, a function of the
+assignment that returns its value along the geodesic between the
+construction's slot values (`on_geodesic`), so proof-derived witnesses
+come out of the same recursion that emits the LMIs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import WrongExponent
+from .errors import DimensionMismatch, WrongExponent
 from .kernel import (
     RationalExponent,
     binary_expansion,
@@ -58,7 +59,7 @@ class Construction:
 
     model: SdpModel
     target: VarId | None
-    recipes: list
+    recipes: list  # (VarId, recipe) pairs, as ModelBuilder.add_recipe takes them
     aux: dict = field(default_factory=dict)  # named extra vars (tau, X, ...)
     report_divisor: float = 1.0  # objective is divided by this on report
 
@@ -74,26 +75,9 @@ class Construction:
         may pre-assign any variable, short-circuiting its recipe.
         """
         asgn = WitnessAssignment(base or {})
-        for var, kind, payload in self.recipes:
-            if var in asgn:
-                continue
-            if kind == "geomean":
-                t, Ab, Bb = payload
-                A = hermitize(Ab.evaluate(asgn))
-                B = hermitize(Bb.evaluate(asgn))
-                asgn[var] = geometric_mean(A, B, float(t))
-            elif kind == "scalar_tight":
-                functional = payload
-                coeff = 0.0
-                rest = functional.constant
-                for v, M in functional.terms:
-                    if v == var:
-                        coeff += M[0, 0].real
-                    else:
-                        rest += np.trace(M @ asgn.matrix(v)).real
-                asgn[var] = np.array([[-rest / coeff]])
-            else:  # pragma: no cover
-                raise ValueError(f"unknown recipe kind {kind}")
+        for var, recipe in self.recipes:
+            if var not in asgn:
+                asgn[var] = recipe(asgn)
         return asgn
 
 
@@ -101,9 +85,16 @@ class Construction:
 # recursive emitters; slots are AffineBlocks (constants or variables)
 
 
+def on_geodesic(t: Fraction, A: AffineBlock, B: AffineBlock):
+    """The witness recipe of a variable on the geodesic A #_t B: the
+    geometric mean of the slots' values in the assignment."""
+    return lambda asgn: geometric_mean(
+        hermitize(A.evaluate(asgn)), hermitize(B.evaluate(asgn)), float(t))
+
+
 def _fresh_target(b: ModelBuilder, letter: str, dim: int, t: Fraction, A, B) -> AffineBlock:
     var = b.fresh_var(letter, dim)
-    b.add_recipe(var, "geomean", (t, A, B))
+    b.add_recipe(var, on_geodesic(t, A, B))
     return AffineBlock.of_var(var)
 
 
@@ -225,6 +216,8 @@ def build_geomean(task: GeoMeanTask) -> Construction:
         return AffineBlock.constant(hermitize(role))
 
     A, B = slot(task.A, "A"), slot(task.B, "B")
+    if A.dim != B.dim:
+        raise DimensionMismatch("A and B must have equal dimensions")
     t = task.t
     if task.T is not None:
         emit(b, A, B, AffineBlock.constant(hermitize(task.T)), t)

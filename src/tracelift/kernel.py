@@ -19,9 +19,10 @@ IMAG_TOL = 1e-9
 
 
 def hermitize(M) -> np.ndarray:
-    """Return the Hermitian part (M + M*) / 2 as a complex array."""
+    """Return the Hermitian part M/2 + M*/2 as a complex array: halving
+    first keeps it finite for every finite M."""
     M = np.asarray(M, dtype=complex)
-    return (M + M.conj().T) / 2
+    return M / 2 + M.conj().T / 2
 
 
 def real_trace(value: complex) -> float:

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, WrongExponent
-from .geomean import Construction, _fresh_target, emit
+from .geomean import Construction, _fresh_target, emit, on_geodesic
 from .kernel import RationalExponent, herm_power, hermitize, kron, vec_rows
 from .model import AffineBlock, LinearFunctional, ModelBuilder, VarId, WitnessAssignment
 
@@ -45,16 +45,18 @@ def _geodesic(b: ModelBuilder, letter: str, dim: int, t: Fraction, A, B) -> VarI
     return T.terms[0].var
 
 
-def _pinch(b: ModelBuilder, tau: VarId, constant: float, terms, concave: bool):
-    """Bound tau by f = ``constant`` + the functional of ``terms``, which
-    include a negative multiple of tau: f >= 0 with tau maximized in the
-    concave range, else -f >= 0 with tau minimized.  tau's recipe makes the
-    bound tight."""
+def _pinch(b: ModelBuilder, tau: VarId, weight: float, constant: float, terms, concave: bool):
+    """Bound ``weight`` * tau by ``constant`` + the functional of ``terms``:
+    f = that bound - weight * tau >= 0 with tau maximized in the concave
+    range, else -f >= 0 with tau minimized.  tau's recipe makes the bound
+    tight: tau = f / weight at tau = 0."""
+    terms = [*terms, (tau, -weight * np.eye(1))]
     if not concave:  # 0.0 - c rather than -c keeps a zero constant +0.0
         constant, terms = 0.0 - constant, [(v, -M) for v, M in terms]
-    f = LinearFunctional(constant, terms)
-    b.add_scalar(f, label="pinch")
-    b.add_recipe(tau, "scalar_tight", f)
+    f = LinearFunctional(constant, terms, label="pinch")
+    b.add_scalar(f)
+    coeff = -weight if concave else weight  # tau's coefficient in the scalar
+    b.add_recipe(tau, lambda asgn: np.array([[-f.evaluate({**asgn, tau: 0.0}) / coeff]]))
     sense = "maximize" if concave else "minimize"
     b.set_objective(sense, LinearFunctional(0.0, [(tau, np.eye(1))]))
 
@@ -78,7 +80,7 @@ def build_lieb(K, A, B, t: RationalExponent) -> Construction:
     Tvar = _geodesic(b, "T", n * m, t, _lift_left(A, m), _lift_right(B, n))
     v = vec_rows(K)
     tau = b.fresh_var("tau", 1, kind="real")
-    _pinch(b, tau, 0.0, [(Tvar, v @ v.conj().T), (tau, -np.eye(1))], 0 <= t <= 1)
+    _pinch(b, tau, 1.0, 0.0, [(Tvar, v @ v.conj().T)], 0 <= t <= 1)
     return Construction.of(b, Tvar, aux={"tau": tau})
 
 
@@ -174,8 +176,7 @@ def build_tsallis_rel_entropy(A, B, t: RationalExponent) -> Construction:
     Tvar = _geodesic(b, "T", n * n, t, _lift_left(A, n), _lift_right(B, n))
     v = vec_rows(np.eye(n))
     sigma = b.fresh_var("sigma", 1, kind="real")
-    terms = [(Tvar, -(v @ v.conj().T)), (sigma, -float(t) * np.eye(1))]
-    _pinch(b, sigma, np.trace(A).real, terms, concave=False)
+    _pinch(b, sigma, float(t), np.trace(A).real, [(Tvar, -(v @ v.conj().T))], concave=False)
     return Construction.of(b, Tvar, aux={"sigma": sigma})
 
 
@@ -204,16 +205,16 @@ def build_upsilon(K, A, t: RationalExponent) -> Construction:
     b = ModelBuilder()
     Tvar = b.fresh_var("T", n * m)
     tau = b.fresh_var("tau", 1, kind="real")
-    terms = [(Tvar, v @ v.conj().T), (tau, -np.eye(1))]
+    terms = [(Tvar, v @ v.conj().T)]
     aux = {"tau": tau}
     LX = LA  # at t = 1, s = 0 and A #_0 X = A needs no X
     if t != 1:
         aux["X"] = Xvar = b.fresh_var("X", m)
         LX = AffineBlock.of_var(Xvar, op="conj", kl=np.eye(n))
         terms.append((Xvar, -float(s) * np.eye(m)))
-    b.add_recipe(Tvar, "geomean", (s, LA, LX))
+    b.add_recipe(Tvar, on_geodesic(s, LA, LX))
     emit(b, LA, LX, AffineBlock.of_var(Tvar), s)
-    _pinch(b, tau, 0.0, terms, 0 <= s <= 1)
+    _pinch(b, tau, 1.0, 0.0, terms, 0 <= s <= 1)
     return Construction.of(b, Tvar, aux=aux, report_divisor=float(t))
 
 

@@ -2,13 +2,14 @@
 
 A model is a list of Hermitian matrix variables, block LMI constraints
 whose entries are affine expressions in those variables, scalar linear
-constraints (normalized to ``f(x) >= 0``), and an optional linear
-objective.  Each LMI is held in one sparse form, its `Slices`: a built
-LMI compiles them from its grid of terms once, on first use, and
-``import_sdpa`` makes them directly.  Feasibility of an explicit
-assignment can be checked directly; ``realify`` maps the slices of a
-complex model onto those of an equivalent real symmetric one, for the
-solver and for SDPA export.
+constraints (linear functionals, normalized to ``f(x) >= 0``), and an
+optional linear objective.  Each LMI and each functional is held in one
+sparse form, its `Slices` (a functional's are 1x1): a built one compiles
+them from its terms once, on first use, and ``import_sdpa`` and
+``realify`` make them directly.  Feasibility of an explicit assignment
+is checked on that form, the one the solver and SDPA export read;
+``realify`` maps the slices of a complex model onto those of an
+equivalent real symmetric one.
 """
 
 from __future__ import annotations
@@ -112,6 +113,12 @@ def as_matrix(value, dim: int) -> np.ndarray:
     if M.shape != (dim, dim):
         raise DimensionMismatch(f"value has shape {M.shape}, expected {(dim, dim)}")
     return M
+
+
+def _coords(vars, assignment) -> np.ndarray:
+    """The real coordinates of ``vars`` at ``assignment``, taken in turn."""
+    return np.concatenate([np.zeros(0)] + [
+        var_coords(u, as_matrix(assignment[u], u.dim)) for u in vars])
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +247,8 @@ class AffineBlock:
 
 
 class Slices(NamedTuple):
-    """An LMI G0 + sum_s x_s A_s >= 0, held sparse.
+    """An LMI G0 + sum_s x_s A_s >= 0, or a functional G0 + sum_s x_s A_s
+    with 1x1 G0 and A_s, held sparse.
 
     ``vars`` are its variables in coordinate order, and slice s belongs to
     coordinate s of their bases taken in turn.  The nonzeros (A_s)_p = v,
@@ -287,22 +295,13 @@ class LmiConstraint:
         return self.rows * self.dim
 
     def vars(self) -> set:
-        if self.grid is None:
-            return set(self._slices.vars)
         return set().union(*(blk.vars() for row in self.grid for blk in row))
 
     def assemble(self, assignment) -> np.ndarray:
-        """The LMI's matrix at ``assignment``: evaluated from the grid's terms
-        where there is a grid, independently of the slices, else from them."""
-        if self.grid is not None:
-            return np.block(
-                [[blk.evaluate(assignment) for blk in row] for row in self.grid]
-            )
-        G0, vars, s, p, v = self._slices
-        x = np.concatenate([np.zeros(0)] + [
-            var_coords(u, as_matrix(assignment[u], u.dim)) for u in vars])
+        """The LMI's matrix at ``assignment``, from its slices."""
+        G0, vars, s, p, v = self.slices()
         out = G0.astype(complex)
-        np.add.at(out.reshape(-1), p, x[s] * v)
+        np.add.at(out.reshape(-1), p, _coords(vars, assignment)[s] * v)
         return out
 
     def slices(self) -> Slices:
@@ -344,36 +343,32 @@ class LmiConstraint:
 
 
 class LinearFunctional:
-    """constant + sum_v Re tr(M_v X_v)."""
+    """constant + sum_v Re tr(M_v X_v), held as 1x1 `Slices` that a built
+    functional compiles from its ``(var, M)`` terms on first use; ``label``
+    names it where it is a scalar constraint."""
 
-    def __init__(self, constant: float = 0.0, terms=()):
+    def __init__(self, constant: float = 0.0, terms=(), label: str = ""):
         self.constant = float(constant)
         self.terms = tuple((v, np.asarray(M, dtype=complex)) for v, M in terms)
+        self.label = label
+        self._slices = None
+
+    def slices(self) -> Slices:
+        """The held slices: coordinate k of variable v has the coefficient
+        Re tr(M E_k), summed over v's terms in term order from zero."""
+        if self._slices is None:
+            vars = sorted({v for v, _ in self.terms}, key=lambda v: v.index)
+            coef = {v: np.zeros(len(var_basis(v))) for v in vars}
+            for v, M in self.terms:
+                coef[v] += np.trace(M @ var_basis(v), axis1=1, axis2=2).real
+            c = np.concatenate([np.zeros(0)] + [coef[v] for v in vars])
+            s = np.flatnonzero(c)
+            self._slices = Slices(np.array([[self.constant]]), tuple(vars), s, np.zeros_like(s), c[s])
+        return self._slices
 
     def evaluate(self, assignment) -> float:
-        val = self.constant
-        for v, M in self.terms:
-            X = as_matrix(assignment[v], v.dim)
-            val += np.trace(M @ X).real
-        return val
-
-    def coeffs(self, offsets, m: int) -> np.ndarray:
-        """Coefficients of all ``m`` real coordinates; ``offsets`` maps each
-        variable to its first coordinate, as ``SdpModel.coord_offsets``
-        gives it."""
-        out = np.zeros(m)
-        for v, M in self.terms:
-            basis = var_basis(v)
-            out[offsets[v]:offsets[v] + len(basis)] += np.trace(M @ basis, axis1=1, axis2=2).real
-        return out
-
-
-class ScalarConstraint:
-    """Scalar linear constraint, normalized internally to f(x) >= 0."""
-
-    def __init__(self, functional: LinearFunctional, label: str = ""):
-        self.functional = functional
-        self.label = label
+        _, vars, s, _, v = self.slices()
+        return self.constant + (v * _coords(vars, assignment)[s]).sum()
 
 
 @dataclass
@@ -384,9 +379,6 @@ class Objective:
 
 class WitnessAssignment(dict):
     """Map from VarId to Hermitian values certifying feasibility."""
-
-    def matrix(self, var: VarId) -> np.ndarray:
-        return as_matrix(self[var], var.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +439,7 @@ class ModelBuilder:
         self._scalars = []
         self._objective = None
         self._counters = {}
-        self.recipes = []  # (VarId, kind, payload) in dependency order
+        self.recipes = []  # (VarId, recipe) in dependency order
 
     def fresh_var(self, letter: str, dim: int, kind: str = "complex") -> VarId:
         n = self._counters.get(letter, 0) + 1
@@ -467,14 +459,16 @@ class ModelBuilder:
         """[[p, z], [z*, q]] >= 0."""
         self.add_lmi([[p, z], [z.adjoint(), q]], label)
 
-    def add_scalar(self, functional: LinearFunctional, label: str = ""):
-        self._scalars.append(ScalarConstraint(functional, label))
+    def add_scalar(self, functional: LinearFunctional):
+        """The constraint ``functional`` >= 0."""
+        self._scalars.append(functional)
 
     def set_objective(self, sense: str, functional: LinearFunctional):
         self._objective = Objective(sense, functional)
 
-    def add_recipe(self, var: VarId, kind: str, payload):
-        self.recipes.append((var, kind, payload))
+    def add_recipe(self, var: VarId, recipe):
+        """``recipe(assignment)`` gives var's witness value from earlier ones."""
+        self.recipes.append((var, recipe))
 
     def freeze(self) -> SdpModel:
         return SdpModel(self._vars, self._lmis, self._scalars, self._objective)
@@ -502,17 +496,17 @@ class FeasibilityReport:
 def check_feasible(model: SdpModel, witness, tol: float = 1e-9) -> FeasibilityReport:
     """Evaluate every constraint of ``model`` at ``witness``.
 
-    LMIs pass when the min eigenvalue is >= -tol * (1 + max |entry|);
-    scalar constraints when the slack meets the analogous bound.
+    Each LMI and scalar constraint is evaluated from its held slices, the
+    form that the solver and SDPA export read.  LMIs pass when the min
+    eigenvalue is >= -tol * (1 + max |entry|); scalar constraints when the
+    slack is >= -tol * (1 + |constant| + sum_v |Re tr(M_v X_v)|).
     """
-    assignment = WitnessAssignment(witness)
     for v in model.vars:
-        if v not in assignment:
+        if v not in witness:
             raise MissingAssignment(f"no value for variable {v.name}")
-        assignment[v] = as_matrix(assignment[v], v.dim)
     checks = []
     for i, lmi in enumerate(model.lmis):
-        M = lmi.assemble(assignment)
+        M = lmi.assemble(witness)
         skew = np.abs(M - M.conj().T).max()
         scale = 1 + np.abs(M).max()
         if skew > tol * scale:
@@ -525,11 +519,11 @@ def check_feasible(model: SdpModel, witness, tol: float = 1e-9) -> FeasibilityRe
             ConstraintCheck(lmi.label or f"lmi{i}", "lmi", mineig, thr, mineig >= -thr)
         )
     for i, sc in enumerate(model.scalars):
-        slack = sc.functional.evaluate(assignment)
-        scale = 1 + abs(sc.functional.constant)
-        for v, M in sc.functional.terms:
-            scale += abs(np.trace(M @ assignment[v]).real)
-        thr = tol * scale
+        _, vars, s, _, v = sc.slices()
+        var_of = np.repeat(np.arange(len(vars)), [len(var_basis(u)) for u in vars])
+        per_var = np.bincount(var_of[s], v * _coords(vars, witness)[s], len(vars))
+        slack = sc.constant + per_var.sum()
+        thr = tol * (1 + abs(sc.constant) + np.abs(per_var).sum())
         checks.append(
             ConstraintCheck(
                 sc.label or f"scalar{i}", "scalar", slack, thr, slack >= -thr
@@ -542,51 +536,55 @@ def check_feasible(model: SdpModel, witness, tol: float = 1e-9) -> FeasibilityRe
 # realification
 
 
-def _matrix_is_real(M) -> bool:
-    return not np.asarray(M, dtype=complex).imag.any()
-
-
 def _real_basis(var: VarId) -> np.ndarray:
     """Which basis matrices of ``var`` are real; the others are imaginary."""
     return ~var_basis(var).imag.any(axis=(1, 2))
 
 
+def _held(model: SdpModel) -> list:
+    """The LMIs, scalar constraints and objective functional of ``model``."""
+    objective = () if model.objective is None else (model.objective.functional,)
+    return [*model.lmis, *model.scalars, *objective]
+
+
 def model_is_real(model: SdpModel) -> bool:
     """True when the coordinates with an imaginary basis matrix can be
-    dropped: every G0 and functional matrix is real, and every slice
-    is real where its basis matrix is real and purely imaginary where it
-    is imaginary.  The LMIs' matrices then have real parts that do not
-    depend on those coordinates, and a Hermitian matrix is PSD only if its
-    real part is."""
+    dropped: every G0 is real, and every slice of an LMI or a functional
+    is real where its basis matrix is real and purely imaginary (for a
+    functional's real coefficient, zero) where it is imaginary.  The LMIs'
+    matrices then have real parts that do not depend on those
+    coordinates, and a Hermitian matrix is PSD only if its real part is."""
     real_basis = {v: _real_basis(v) for v in model.vars}
-    for lmi in model.lmis:
-        G0, vars, s, p, v = lmi.slices()
+    for held in _held(model):
+        G0, vars, s, p, v = held.slices()
         real = np.concatenate([np.zeros(0, dtype=bool)] + [real_basis[u] for u in vars])
-        if not _matrix_is_real(G0) or np.where(real[s], np.imag(v), np.real(v)).any():
+        if np.imag(G0).any() or np.where(real[s], np.imag(v), np.real(v)).any():
             return False
-    funcs = [sc.functional for sc in model.scalars]
-    if model.objective is not None:
-        funcs.append(model.objective.functional)
-    return all(_matrix_is_real(M) for f in funcs for _, M in f.terms)
+    return True
 
 
-def _realify_slices(lmi: LmiConstraint, var_map, embed: bool) -> Slices:
-    """The slices of ``lmi``'s realified counterpart.  Embedded, each d x d
-    grid slot of G0 and of every slice maps to its 2d x 2d image under phi.
-    Otherwise only the coordinates with a real basis matrix remain, with
-    the real parts of their slices."""
-    G0, vars, s, p, v = lmi.slices()
+def _realify_slices(sl: Slices, var_map, embed: bool, d: int | None = None) -> Slices:
+    """The slices of a realified LMI, with grid slots of dimension ``d``, or
+    of a realified functional (``d`` None).  Embedded, each d x d grid slot
+    of an LMI's G0 and of every slice maps to its 2d x 2d image under phi,
+    and a functional keeps its coefficients: Re tr(M E) is the coefficient
+    of the coordinate that phi(E) spans.  Otherwise only the coordinates
+    with a real basis matrix remain, with the real parts of their slices."""
+    G0, vars, s, p, v = sl
     new_vars = tuple(var_map[u] for u in vars)
     if not embed:
         # the slices of imaginary basis matrices are imaginary (model_is_real)
         real = np.concatenate([np.zeros(0, dtype=bool)] + [_real_basis(u) for u in vars])
         e = v.real != 0
         return Slices(G0.real.copy(), new_vars, (np.cumsum(real) - 1)[s[e]], p[e], v.real[e])
-    rows, d, n = lmi.rows, lmi.dim, 2 * lmi.size
+    if d is None:
+        return Slices(G0, new_vars, s, p, v)
+    size = len(G0)
+    rows, n = size // d, 2 * size
     G0 = phi(G0.reshape(rows, d, rows, d).swapaxes(1, 2)).swapaxes(1, 2).reshape(n, n)
     # entry (R, C), in slot (R // d, C // d), lands at (R + R // d * d, C + C // d * d)
     # of the doubled grid; its image under phi adds d to the row, the column or both
-    R, C = np.divmod(p, lmi.size)
+    R, C = np.divmod(p, size)
     first = (s * n + R + R // d * d) * n + C + C // d * d
     keys = np.concatenate([first, first + d, first + d * n, first + d * n + d])
     vals = np.concatenate([v.real, -v.imag, v.imag, v.real])
@@ -603,10 +601,10 @@ def realify(model: SdpModel):
     are re-tagged real symmetric, keeping only the coordinates with a real
     basis matrix.  Otherwise every complex Hermitian object of dimension d
     is embedded as the real symmetric 2d x 2d matrix [[Re, -Im], [Im, Re]],
-    one grid slot at a time; trace functionals pick up a factor 1/2 so
+    one grid slot at a time, and a functional keeps its coefficients, so
     optimal values are unchanged.  Variables of dimension 1 or of kind
-    ``real`` stay real symmetric of their own dimension.  The LMIs are
-    mapped from their slices; no term is formed.
+    ``real`` stay real symmetric of their own dimension.  LMIs and
+    functionals are mapped from their slices; no term is formed.
 
     Returns ``(realified_model, var_map)`` with ``var_map`` mapping each
     original variable to its realified counterpart.
@@ -622,23 +620,15 @@ def realify(model: SdpModel):
         else:
             var_map[v] = VarId(v.index, v.dim, v.name, "real")
 
-    lmis = [LmiConstraint(label=lmi.label, slices=_realify_slices(lmi, var_map, embed))
+    lmis = [LmiConstraint(label=lmi.label, slices=_realify_slices(lmi.slices(), var_map, embed, lmi.dim))
             for lmi in model.lmis]
 
     def map_functional(f: LinearFunctional) -> LinearFunctional:
-        terms = []
-        for v, M in f.terms:
-            nv = var_map[v]
-            if nv.kind == "real":
-                terms.append((nv, M.real.astype(complex)))
-            else:
-                terms.append((nv, 0.5 * phi(M)))
-        return LinearFunctional(f.constant, terms)
+        out = LinearFunctional(f.constant, label=f.label)
+        out._slices = _realify_slices(f.slices(), var_map, embed)
+        return out
 
-    scalars = [
-        ScalarConstraint(map_functional(sc.functional), sc.label)
-        for sc in model.scalars
-    ]
+    scalars = [map_functional(sc) for sc in model.scalars]
     objective = None
     if model.objective is not None:
         objective = Objective(
@@ -669,19 +659,18 @@ def canonical(model: SdpModel):
 
     on every block, a minimising model's objective negated.  ``blocks``
     holds (G0, idx, s, p, v) per block: each LMI's `Slices` in model order,
-    with ``idx`` the model coordinate of each slice, then one 1x1 block per
-    scalar constraint, its constant and its nonzero coefficients.
-    ``offsets`` maps each variable to its first coordinate."""
+    with ``idx`` the model coordinate of each slice, then the 1x1 slices of
+    each scalar constraint.  ``offsets`` maps each variable to its first
+    coordinate."""
     obj = model.require_objective()
     offsets, m = model.coord_offsets()
     sign = -1.0 if obj.sense == "minimize" else 1.0
     blocks = []
-    for lmi in model.lmis:
-        sl = lmi.slices()
-        idx = np.array([offsets[v] + k for v in sl.vars for k in range(len(var_basis(v)))], dtype=int)
-        blocks.append((sl.G0, idx, sl.s, sl.p, sl.v))
-    for sc in model.scalars:
-        c = sc.functional.coeffs(offsets, m)
-        k = np.flatnonzero(c)
-        blocks.append((np.array([[sc.functional.constant]]), np.arange(m), k, np.zeros_like(k), c[k]))
-    return sign * obj.functional.coeffs(offsets, m), sign * obj.functional.constant, blocks, offsets
+    for held in _held(model):
+        G0, vars, s, p, v = held.slices()
+        idx = np.array([offsets[u] + k for u in vars for k in range(len(var_basis(u)))], dtype=int)
+        blocks.append((G0, idx, s, p, v))
+    G0, idx, s, _, v = blocks.pop()  # the objective
+    b = np.zeros(m)
+    b[idx[s]] = v
+    return sign * b, sign * float(G0[0, 0]), blocks, offsets

@@ -20,12 +20,11 @@ import math
 
 import numpy as np
 
-from .errors import ComplexDataError, IoError, NotRealified, SdpaParseError
+from .errors import ComplexDataError, IoError, NotRealified, SdpaParseError, TraceliftError
 from .model import (
     LinearFunctional,
     LmiConstraint,
     Objective,
-    ScalarConstraint,
     SdpModel,
     Slices,
     VarId,
@@ -61,6 +60,8 @@ def export_sdpa(model: SdpModel, path) -> None:
     if not model.realified:
         raise NotRealified("export requires a realified model")
     b, constant, blocks, _ = canonical(model)
+    if not all(np.isfinite(a).all() for a in [b, constant] + [a for G0, *_, v in blocks for a in (G0, v)]):
+        raise TraceliftError("the model holds a non-finite number, which SDPA cannot hold")
     nl = len(model.lmis)
     sizes = [lmi.size for lmi in model.lmis]
     if model.scalars:
@@ -244,8 +245,7 @@ def import_sdpa(path) -> SdpModel:
             D[s, ie] = ve
             for r in range(-size):
                 terms = [(xs[k - 1], [[a]]) for k, a in zip(mats[1:], D[1:, r]) if a != 0.0]
-                scalars.append(ScalarConstraint(
-                    LinearFunctional(-D[0, r], terms), label=f"{label} row {r + 1}"))
+                scalars.append(LinearFunctional(-D[0, r], terms, label=f"{label} row {r + 1}"))
             continue
         f0 = s == 0
         G0 = np.zeros((size, size))

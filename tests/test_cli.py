@@ -7,6 +7,7 @@ import pytest
 
 from tracelift.cli import main, save_matrix
 from tracelift.instances import FUNCTIONS, random_pd
+from tracelift.sdpa import import_sdpa
 
 # the parameters each function needs, as command-line arguments
 PARAMS = {
@@ -193,6 +194,36 @@ class TestMalformedMatrixFile:
         assert rc == 0
 
 
+class TestNearOverflow:
+    # finite entries near the largest double: no command may exit 0 after
+    # printing a value that is not finite or writing a file that
+    # import_sdpa rejects
+    def write(self, tmp_path, name, diagonal):
+        path = tmp_path / name
+        path.write_text(json.dumps({"re": np.diag(diagonal).tolist()}))
+        return str(path)
+
+    def test_geomean_hermitian_part_stays_finite(self, tmp_path, capsys):
+        # A/2 + A*/2 is finite where (A + A*)/2 overflows to nan
+        argv = ["--function", "geomean", "--t", "1/2", "--A", self.write(tmp_path, "A.json", [1e308, 1e308]),
+                "--B", self.write(tmp_path, "B.json", [2.0, 1.0])]
+        assert main(["eval", *argv]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(2 ** 0.5 * 1e154 + 1e154, rel=1e-11)
+        out = tmp_path / "m.dat-s"
+        assert main(["emit", *argv, "--out", str(out)]) == 0
+        assert import_sdpa(out).lmis
+
+    def test_tsallis_value_overflows(self, tmp_path, capsys):
+        # the objective constant -tr A / t and the value overflow to -inf
+        argv = ["--function", "tsallis", "--t", "1/2", "--A", self.write(tmp_path, "A.json", [5e307, 5e307])]
+        assert main(["eval", *argv]) == 2
+        assert "not finite" in capsys.readouterr().err
+        out = tmp_path / "m.dat-s"
+        assert main(["emit", *argv, "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFunctionTable:
     @pytest.mark.parametrize("name", list(FUNCTIONS))
     def test_entry_is_wired(self, name, tmp_path, capsys):
@@ -218,6 +249,15 @@ class TestArgumentChecks:
             main([extra[0], "--function", "geomean", "--t", "1/2", *extra[1:]])
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["emit", "verify"])
+    def test_geomean_sizes_differ_exit_2(self, command, tmp_path, capsys):
+        A, B = tmp_path / "A.json", tmp_path / "B.json"
+        save_matrix(np.eye(1), A)
+        save_matrix(np.eye(2), B)
+        extra = {"emit": ["--out", str(tmp_path / "m.dat-s")], "verify": ["--trials", "1"]}[command]
+        assert main([command, "--function", "geomean", "--t", "1/2", "--A", str(A), "--B", str(B), *extra]) == 2
+        assert "A and B must have equal dimensions" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "emit", "verify"])
     @pytest.mark.parametrize("weights, files", [

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from tracelift.errors import MissingAssignment, NoObjective
+from tracelift.geomean import GeoMeanTask, build_geomean
 from tracelift.instances import random_pd
+from tracelift.kernel import RationalExponent
 from tracelift.sdpa import export_sdpa
 from tracelift.solver import solve
 from tracelift.model import (
@@ -92,6 +94,20 @@ class TestCheckFeasible:
         assert check_feasible(model, good, tol=1e-9).ok
         bad = WitnessAssignment({Z: geometric_mean(A, B, 0.5) + np.eye(3)})
         assert not check_feasible(model, bad, tol=1e-9).ok
+
+    def test_reads_the_held_slices(self, rng):
+        # the proof witness is checked against the slices that solve and
+        # export_sdpa read: halving the one on Z1's first diagonal entry in
+        # the step LMI [[A, Z2], [Z2, Z1]] of t = 1/4 makes it infeasible
+        A, B = random_pd(2, rng), random_pd(2, rng)
+        con = build_geomean(GeoMeanTask(RationalExponent(1, 4), 2, A=A, B=B))
+        wit = con.make_witness()
+        assert check_feasible(con.model, wit, tol=1e-9).ok
+        sl = con.model.lmis[-1].slices()
+        i, j = np.divmod(sl.p, len(sl.G0))
+        sl.v[np.flatnonzero(i == j)[0]] *= 0.5
+        report = check_feasible(con.model, wit, tol=1e-9)
+        assert [c.ok for c in report.checks] == [True, False]
 
     def test_missing_assignment(self, pd_pair):
         A, B = pd_pair

@@ -239,7 +239,7 @@ class TestImported:
         model = import_sdpa(path)
         G0, idx, A = dense(model.lmis[0].slices(), model.coord_offsets()[0])
         assert not G0.any() and idx.size == 0 and A.shape == (0, 2, 2)
-        assert model.scalars[0].functional.constant == 0.0
+        assert model.scalars[0].constant == 0.0
 
     def test_objective_constant_round_trip(self, rng, tmp_path):
         A = random_pd(3, rng)
@@ -322,12 +322,21 @@ def oracle_slices(lmi, offsets, realified=None):
     return G0, idx, A
 
 
-def oracle_coeffs(f, offsets, m):
-    """Per-coordinate reference for LinearFunctional.coeffs."""
-    out = np.zeros(m)
-    for v, j in offsets.items():
-        for k, E in enumerate(var_basis(v)):
-            out[j + k] = sum((np.trace(M @ E).real for u, M in f.terms if u == v), 0.0)
+def oracle_coeffs(f, offsets, realified=None):
+    """Per-coordinate reference for the slices of a built functional, made
+    dense: Re tr(M E) summed over the terms of each coordinate's variable.
+
+    With ``realified`` = (var_map, offsets, embed), the reference for the
+    functional that realify makes of it: only the coordinates of the
+    realified variables remain, as in oracle_slices, with the same
+    coefficients."""
+    var_map, new_offsets, embed = realified or ({v: v for v in offsets}, offsets, None)
+    out = np.zeros(sum(len(var_basis(v)) for v in new_offsets))
+    for v in offsets:
+        kept = [E for E in var_basis(v) if embed is not False or not E.imag.any()]
+        for pos, E in enumerate(kept):
+            out[new_offsets[var_map[v]] + pos] = sum(
+                (np.trace(M @ E).real for u, M in f.terms if u == v), 0.0)
     return out
 
 
@@ -428,9 +437,19 @@ class TestSlices:
             assert np.array_equal(G0, want_G0)
             assert idx.tolist() == want_idx
             assert np.array_equal(A, np.array(want_A).reshape(A.shape))
-        funcs = [sc.functional for sc in model.scalars] + [model.objective.functional]
-        for f in funcs:
-            assert np.array_equal(f.coeffs(offsets, m), oracle_coeffs(f, offsets, m))
+        funcs = [*model.scalars, model.objective.functional]
+        for k, f in enumerate(funcs):
+            G0, idx, A = dense(f.slices(), offsets)
+            got = np.zeros(m)
+            got[idx] = A[:, 0, 0]
+            if var_map is None:
+                want = oracle_coeffs(f, offsets)
+            else:
+                src = [*source.scalars, source.objective.functional][k]
+                want = oracle_coeffs(src, source.coord_offsets()[0], (var_map, offsets, embed))
+                assert src.constant == f.constant
+            assert np.array_equal(G0, [[f.constant]])
+            assert np.array_equal(got, want)
         if make in (lieb_scalar, imported_lieb):
             assert model.scalars
         if make in REALIFIED:

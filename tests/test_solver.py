@@ -258,11 +258,16 @@ class TestSecondOrder:
 
 def scripted_ladder(monkeypatch, outcomes):
     """Make each rung of solve's ladder end as the next (status, gap,
-    iterations) of outcomes, whatever the model."""
+    iterations) of outcomes, whatever the model; a "diverged" rung raises
+    _Diverged after its iterations."""
     script = iter(outcomes)
 
     def scripted(b, blocks, opts, tau_mul, frac):
         status, gap, iters = next(script)
+        if status == "diverged":
+            exc = solver._Diverged()
+            exc.iterations = iters
+            raise exc
         return status, np.zeros(len(b)), [], gap, 0.0, 0.0, iters
 
     monkeypatch.setattr(solver, "_solve_canonical", scripted)
@@ -284,6 +289,105 @@ class TestLadder:
         res = solve(lieb_two_thirds()[0])
         assert (res.status, res.iterations, res.duality_gap) == ("numerical_failure", 50, 1e-7)
         assert res.objective is None
+
+    def test_diverged_rung_is_logged(self, monkeypatch):
+        scripted_ladder(monkeypatch, [("diverged", None, 7), ("optimal", 1e-9, 22)])
+        res = solve(lieb_two_thirds()[0])
+        assert (res.status, res.iterations) == ("optimal", 22)
+        assert res.attempts == [(10.0, 0.98, "diverged", 7), (1.0, 0.95, "optimal", 22)]
+
+    def test_every_rung_diverged_is_infeasible(self, monkeypatch):
+        scripted_ladder(monkeypatch, [("diverged", None, 3), ("diverged", None, 1), ("diverged", None, 9)])
+        res = solve(lieb_two_thirds()[0])
+        assert (res.status, res.iterations, res.objective) == ("infeasible", 0, None)
+        assert [(a.outcome, a.iterations) for a in res.attempts] == [
+            ("diverged", 3), ("diverged", 1), ("diverged", 9)]
+
+
+def geomean_half():
+    # the t = 1/2 hypograph on the first real draw of seed 3
+    rng = np.random.default_rng(3)
+    A, B = random_pd(2, rng, complex_=False), random_pd(2, rng, complex_=False)
+    return build_geomean(GeoMeanTask(RationalExponent(1, 2), 2, A=A, B=B)).model
+
+
+def rungs(outcome, iterations):
+    """Every rung of the ladder, each ending as ``outcome`` after ``iterations``."""
+    return [(tau_mul, frac, outcome, iterations) for tau_mul, frac in solver._LADDER]
+
+
+class TestAttemptExits:
+    # each way _solve_canonical ends an attempt early, reached by patching
+    # one of its internals, and the Attempt that solve logs for it
+    def test_one_side_stuck_stalls(self, monkeypatch):
+        # X never moves while (y, S) does: the attempt stalls once X has
+        # been stuck for more than _STALL_ITERS iterations in a row
+        calls, step = iter(range(10 ** 6)), solver._interior_step
+        # each iteration steps X once (the first candidate, refused) and then S
+        monkeypatch.setattr(solver, "_interior_step",
+                            lambda X, D, alpha: None if next(calls) % 2 == 0 else step(X, D, alpha))
+        res = solve(geomean_half())
+        assert res.attempts == rungs("numerical_failure", solver._STALL_ITERS + 1)
+        assert (res.status, res.iterations, res.objective) == (
+            "numerical_failure", solver._STALL_ITERS + 1, None)
+
+    def test_step_that_never_factors_gives_up(self, monkeypatch):
+        # no trial point of a step factors, so backtracking gives up below
+        # _MIN_STEP on both sides and neither moves
+        given, step, chol = [], solver._interior_step, solver._chol
+
+        def never_factors(X, D, alpha):
+            monkeypatch.setattr(solver, "_chol", lambda mats: None)
+            given.append(step(X, D, alpha))
+            monkeypatch.setattr(solver, "_chol", chol)
+            return given[-1]
+
+        monkeypatch.setattr(solver, "_interior_step", never_factors)
+        res = solve(geomean_half())
+        assert res.attempts == rungs("numerical_failure", 1)
+        assert given == [None] * 2 * len(solver._LADDER)
+
+    def test_interior_step_gives_up(self):
+        X, D = [1e-12 * np.eye(2)[None]], [-np.eye(2)[None]]
+        assert solver._interior_step(X, D, 1.0) is None
+        alpha, new, _ = solver._interior_step(X, [-D[0]], 1.0)
+        assert alpha == 1.0 and np.array_equal(new[0], X[0] + np.eye(2))
+
+    def test_nan_direction_diverges(self, monkeypatch):
+        # a NaN Newton right-hand side gives a NaN direction, whose ratio
+        # test cannot compute eigenvalues
+        newton = solver._Blocks.newton
+
+        def nan_rhs(self, *args):
+            M, rhs = newton(self, *args)
+            return M, np.full_like(rhs, np.nan)
+
+        monkeypatch.setattr(solver._Blocks, "newton", nan_rhs)
+        assert solve(geomean_half()).attempts == rungs("diverged", 1)
+        # eigvalsh raises on a NaN block of 3 rows or more
+        (_, Linv), = _chol([np.eye(4)[None]])
+        with pytest.raises(solver._Diverged):
+            solver._max_step(Linv, np.full((1, 4, 4), np.nan), 0.98)
+
+    def test_singular_schur_complement_diverges(self, monkeypatch):
+        newton = solver._Blocks.newton
+
+        def zero_m(self, *args):
+            M, rhs = newton(self, *args)
+            return np.zeros_like(M), rhs
+
+        monkeypatch.setattr(solver._Blocks, "newton", zero_m)
+        res = solve(geomean_half())
+        assert res.attempts == rungs("diverged", 1)
+        assert res.status == "infeasible"
+
+    def test_vanishing_mu_diverges(self, monkeypatch):
+        # a start of 1e-10 times the data scale has mu = tau^2 below
+        # 1e-16 * scale while the primal residual is still of order 1
+        monkeypatch.setattr(solver, "_LADDER", ((1e-10, 0.98),))
+        res = solve(geomean_half())
+        assert res.attempts == [(1e-10, 0.98, "diverged", 1)]
+        assert res.status == "infeasible"
 
 
 class TestDeterminism:
@@ -326,19 +430,16 @@ class TestResultContents:
 
 def dense_slices(model):
     """The blocks of the model's canonical form, made dense as (G0, idx, A)
-    from each LMI's held slices and each scalar's coefficients, in model
+    from the held slices of each LMI and each scalar constraint, in model
     order: one per LMI, then a 1x1 block per scalar constraint."""
     offsets, m = model.coord_offsets()
-    for lmi in model.lmis:
-        sl = lmi.slices()
+    for held in [*model.lmis, *model.scalars]:
+        sl = held.slices()
         idx = np.array([offsets[v] + k for v in sl.vars for k in range(len(var_basis(v)))], dtype=int)
         n = len(sl.G0)
         A = np.zeros((len(idx), n * n))
         A[sl.s, sl.p] = sl.v
         yield sl.G0, idx, A.reshape(-1, n, n)
-    for sc in model.scalars:
-        f = sc.functional
-        yield np.array([[f.constant]]), np.arange(m), f.coeffs(offsets, m)[:, None, None]
 
 
 def held(dense):
