@@ -1,5 +1,7 @@
 """Interior-point solver on hand-built and compiled problems."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from tracelift.instances import random_matrix, random_pd
 from tracelift.kernel import (
     RationalExponent, fidelity_value, geometric_mean, lieb_value, upsilon_value,
 )
-from tracelift.lieb import build_fidelity, build_kron_power, build_lieb, build_upsilon
+from tracelift.lieb import build_fidelity, build_kron_power, build_lieb, build_multivariate, build_upsilon
 from tracelift.model import AffineBlock, LinearFunctional, ModelBuilder, canonical, realify, var_basis
 from tracelift import solver
 from tracelift.solver import SolveOptions, _Blocks, _chol, _nt_scaling, _second_order, solve
@@ -262,7 +264,7 @@ def scripted_ladder(monkeypatch, outcomes):
     _Diverged after its iterations."""
     script = iter(outcomes)
 
-    def scripted(b, blocks, opts, tau_mul, frac):
+    def scripted(b, blocks, plan, opts, tau_mul, frac):
         status, gap, iters = next(script)
         if status == "diverged":
             exc = solver._Diverged()
@@ -309,6 +311,13 @@ def geomean_half():
     rng = np.random.default_rng(3)
     A, B = random_pd(2, rng, complex_=False), random_pd(2, rng, complex_=False)
     return build_geomean(GeoMeanTask(RationalExponent(1, 2), 2, A=A, B=B)).model
+
+
+def geomean_third(n):
+    # the t = 1/3 hypograph on the first complex draw of seed 0
+    rng = np.random.default_rng(0)
+    A, B = random_pd(n, rng), random_pd(n, rng)
+    return build_geomean(GeoMeanTask(RationalExponent(1, 3), n, A=A, B=B)).model
 
 
 def rungs(outcome, iterations):
@@ -364,10 +373,12 @@ class TestAttemptExits:
 
         monkeypatch.setattr(solver._Blocks, "newton", nan_rhs)
         assert solve(geomean_half()).attempts == rungs("diverged", 1)
-        # eigvalsh raises on a NaN block of 3 rows or more
-        (_, Linv), = _chol([np.eye(4)[None]])
-        with pytest.raises(solver._Diverged):
-            solver._max_step(Linv, np.full((1, 4, 4), np.nan), 0.98)
+        # eigvalsh raises on a NaN block of 3 rows or more, and returns NaN
+        # on a smaller one, such as a scalar constraint's 1x1 block
+        for d in (1, 2, 4):
+            (_, Linv), = _chol([np.eye(d)[None]])
+            with pytest.raises(solver._Diverged):
+                solver._max_step(Linv, np.full((1, d, d), np.nan), 0.98)
 
     def test_singular_schur_complement_diverges(self, monkeypatch):
         newton = solver._Blocks.newton
@@ -377,9 +388,11 @@ class TestAttemptExits:
             return np.zeros_like(M), rhs
 
         monkeypatch.setattr(solver._Blocks, "newton", zero_m)
-        res = solve(geomean_half())
-        assert res.attempts == rungs("diverged", 1)
-        assert res.status == "infeasible"
+        # geomean 1/3 at n = 8 has pivots: none factors, and the root is all of M
+        for model in (geomean_half(), geomean_third(8)):
+            res = solve(model)
+            assert res.attempts == rungs("diverged", 1)
+            assert res.status == "infeasible"
 
     def test_vanishing_mu_diverges(self, monkeypatch):
         # a start of 1e-10 times the data scale has mu = tau^2 below
@@ -563,3 +576,112 @@ class TestNewtonSystem:
         assert_close(rp, want_rp)
         assert_close(M, (want_M + want_M.T) / 2 + 1e-14 * np.eye(m))
         assert_close(rhs, want_rhs)
+
+
+def canonical_of(model):
+    """(m, held, offsets) of a model's canonical form, realified."""
+    b, _, held, offsets = canonical(realify(model)[0])
+    return len(b), held, offsets
+
+
+def kron_power_third_half(n):
+    rng = np.random.default_rng(0)
+    A, B = random_pd(n, rng), random_pd(n, rng)
+    return build_kron_power(A, B, RationalExponent(1, 2), RationalExponent(1, 3)).model
+
+
+def multivariate_two():
+    rng = np.random.default_rng(0)
+    mats = [random_pd(2, rng) for _ in range(3)]
+    weights = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
+    return build_multivariate(mats, weights).model
+
+
+def coords(c):
+    return np.arange(c.start, c.stop) if isinstance(c, slice) else np.asarray(c)
+
+
+def spd_with_pattern(m, held, rng):
+    """A random SPD matrix with the Schur complement's pattern: one PSD
+    term per block on the block's coordinates, plus the identity."""
+    M = np.eye(m)
+    for _, idx, *_ in held:
+        R = rng.standard_normal((len(idx), len(idx)))
+        M[np.ix_(idx, idx)] += R @ R.T
+    return M
+
+
+class TestElimination:
+    def test_chain_plan(self):
+        # variables a-b-c-d-e in a chain, each block shared by two
+        # neighbours; e has fewer than _MIN_PIVOT coordinates
+        size = [40, 40, 40, 40, 8]
+        start = np.cumsum([0] + size)
+        offsets = dict(zip("abcde", start[:-1]))
+        held = [(None, np.arange(start[v], start[v + 2])) for v in range(4)]
+        plan = solver._plan(offsets, start[-1], held)
+        # a and b, then c, have the fewest neighbouring coordinates; d and e
+        # are then a clique
+        assert plan.pivots[0][0] == slice(0, 40) and plan.pivots[0][1] == slice(40, 80)
+        assert plan.pivots[1][0] == slice(40, 80) and plan.pivots[1][1] == slice(80, 120)
+        assert plan.pivots[2][0] == slice(80, 120) and plan.pivots[2][1] == slice(120, 160)
+        assert len(plan.pivots) == 3
+        assert plan.root.tolist() == list(range(120, 168))
+
+    def test_fill_makes_a_clique(self):
+        # a cycle a-b-c-d-a: eliminating a joins b and d, and b, c and d
+        # are then a clique
+        offsets = dict(zip("abcd", np.arange(4) * 40))
+        held = [(None, np.r_[40 * v:40 * v + 40, 40 * w:40 * w + 40]) for v, w in ((0, 1), (1, 2), (2, 3), (0, 3))]
+        plan = solver._plan(offsets, 160, held)
+        assert [(J, coords(N).tolist()) for J, N in plan.pivots] == [
+            (slice(0, 40), list(range(40, 80)) + list(range(120, 160)))]
+        assert plan.root.tolist() == list(range(40, 160))
+
+    @pytest.mark.parametrize("make, pivots", [
+        (lambda: kron_power_third_half(3), 7), (multivariate_two, 2), (lambda: geomean_third(8), 2),
+        (lambda: kron_power_third_half(2), 0), (lambda: geomean_third(6), 0), (geomean_half, 0)])
+    def test_pivots_cover_coordinates(self, make, pivots):
+        # every coordinate is a pivot's or the root's, once; no pivot has
+        # fewer than _MIN_PIVOT coordinates, so the 36 of geomean at n = 6
+        # are none
+        m, held, offsets = canonical_of(make())
+        plan = solver._plan(offsets, m, held)
+        assert len(plan.pivots) == pivots
+        assert all(J.stop - J.start >= solver._MIN_PIVOT for J, _ in plan.pivots)
+        cover = np.concatenate([coords(J) for J, _ in plan.pivots] + [plan.root])
+        assert sorted(cover.tolist()) == list(range(m))
+
+    @pytest.mark.parametrize("make", [lambda: kron_power_third_half(3), multivariate_two])
+    def test_matches_dense_solve(self, rng, make):
+        m, held, offsets = canonical_of(make())
+        plan = solver._plan(offsets, m, held)
+        M = spd_with_pattern(m, held, rng)
+        r, r1 = rng.standard_normal((m, 2)), rng.standard_normal(m)
+        solve_m = solver._eliminate(M.copy(), plan)
+        for rhs in (r, r1):
+            want = np.linalg.solve(M, rhs)
+            assert np.linalg.norm(solve_m(rhs) - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_no_pivot_is_the_dense_solve(self, rng):
+        m, held, offsets = canonical_of(kron_power_third_half(2))
+        plan = solver._plan(offsets, m, held)
+        M, r = spd_with_pattern(m, held, rng), rng.standard_normal((m, 2))
+        assert np.array_equal(solver._eliminate(M.copy(), plan)(r), np.linalg.solve(M, r))
+
+    def test_pivot_not_pd_joins_the_root(self, rng):
+        # the second pivot's block is negative definite, so only the first
+        # is eliminated, and the indefinite rest is solved as one root
+        m, held, offsets = canonical_of(kron_power_third_half(3))
+        plan = solver._plan(offsets, m, held)
+        M = spd_with_pattern(m, held, rng)
+        (J1, N1), (J2, _) = plan.pivots[:2]
+        M[J2, J2] = -np.eye(J2.stop - J2.start)
+        work, r = M.copy(), rng.standard_normal(m)
+        got = solver._eliminate(work, plan)(r)
+        once = M.copy()  # M with the first pivot eliminated
+        B = np.linalg.solve(np.linalg.cholesky(M[J1, J1]), M[J1, N1]).T
+        once[solver._square(N1)] -= B @ B.T
+        assert np.array_equal(work, once)
+        want = np.linalg.solve(M, r)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

@@ -12,7 +12,9 @@ Hashes, with SHA-256:
   of every ``FUNCTIONS`` entry on its first n = 2 draw from
   ``default_rng(0)``, with real and with complex data.
 
-Prints one line: the number of files and solves hashed, and the hash.
+Prints one line per solve -- function, data, status, iterations and the
+hash of that solve's part -- so that the solves two versions differ in
+show, then one line: the number of files and solves hashed, and the hash.
 BLAS runs on one thread, because the thread count changes iteration counts.
 ``--src`` imports tracelift from another checkout's src/ directory, so
 that the lines of two versions can be compared.
@@ -93,9 +95,11 @@ def main(argv=None):
         for complex_ in (False, True):
             data = entry.draw(p, 2, np.random.default_rng(0), complex_)
             res = tl.solve(entry.build(data, p).model)
-            digest.update(f"{name} {complex_} {res.status} {res.iterations} {res.objective!r}".encode())
-            digest.update(res.y.tobytes())
+            part = f"{name} {complex_} {res.status} {res.iterations} {res.objective!r}".encode() + res.y.tobytes()
+            digest.update(part)
             solves += 1
+            kind = "complex" if complex_ else "real"
+            print(f"{name} {kind} {res.status} {res.iterations} {hashlib.sha256(part).hexdigest()[:16]}")
     print(f"files {files} solves {solves} sha256 {digest.hexdigest()}")
     return 0
 
