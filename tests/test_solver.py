@@ -620,12 +620,10 @@ class TestElimination:
         offsets = dict(zip("abcde", start[:-1]))
         held = [(None, np.arange(start[v], start[v + 2])) for v in range(4)]
         plan = solver._plan(offsets, start[-1], held)
-        # a and b, then c, have the fewest neighbouring coordinates; d and e
-        # are then a clique
-        assert plan.pivots[0][0] == slice(0, 40) and plan.pivots[0][1] == slice(40, 80)
-        assert plan.pivots[1][0] == slice(40, 80) and plan.pivots[1][1] == slice(80, 120)
-        assert plan.pivots[2][0] == slice(80, 120) and plan.pivots[2][1] == slice(120, 160)
-        assert len(plan.pivots) == 3
+        # a, then b, then c has the fewest neighbouring coordinates of the
+        # pivots left; d and e are then a clique
+        assert plan.pivots == [(slice(0, 40), slice(40, 80)), (slice(40, 80), slice(80, 120)),
+                               (slice(80, 120), slice(120, 160))]
         assert plan.root.tolist() == list(range(120, 168))
 
     def test_fill_makes_a_clique(self):
