@@ -36,8 +36,8 @@ meets only its neighbours in the construction's chain, so M is
 block-sparse by variable.  `_plan` orders the variables for elimination
 once per model, and `_eliminate` eliminates them in place on M by
 Cholesky factors, leaving a dense root for `np.linalg.solve`; the two
-solves of an iteration reuse those factors.  A model with no pivot -- every
-one whose variables are all small -- is solved by `np.linalg.solve` of M.
+solves of an iteration reuse those factors.  In a model with no pivot --
+every one whose variables are all small -- the root is all of M.
 """
 
 from __future__ import annotations
@@ -396,7 +396,8 @@ class _Plan(NamedTuple):
     """The block elimination of the Schur complement: per pivot, its
     variable's coordinates (a slice) and its neighbours' coordinates when
     it is eliminated, fill included; then the root, the coordinates of the
-    variables left, which `np.linalg.solve` takes as one dense matrix."""
+    variables left (a slice when they are one run), which `np.linalg.solve`
+    takes as one dense matrix."""
 
     pivots: list
     root: np.ndarray
@@ -435,7 +436,7 @@ def _plan(offsets, m, held) -> _Plan:
             adj[u] -= {u, j}
         pivots.append((slice(starts[j], starts[j + 1]), _run(coords(sorted(adj[j])))))
         left.remove(j)
-    return _Plan(pivots, coords(sorted(left)))
+    return _Plan(pivots, _run(coords(sorted(left))))
 
 
 def _run(c):
@@ -456,7 +457,7 @@ def _eliminate(M, plan: _Plan):
     M_JJ: with B = (L^-1 M_JN)', M_NN -= B B' leaves in M the Schur
     complement of the pivots so far.  A pivot that does not factor ends the
     elimination, and it and every variable not yet eliminated join the
-    root; with no pivot eliminated, x is `np.linalg.solve` of all of M.
+    root.
     The solve substitutes forward through the pivots, solves the root and
     substitutes back.  Only the root solve raises LinAlgError.
     """
@@ -469,10 +470,10 @@ def _eliminate(M, plan: _Plan):
         B = np.linalg.solve(L, M[J, N]).T
         M[_square(N)] -= B @ B.T
         done.append((J, N, L, B))
-    if not done:
-        return lambda r: np.linalg.solve(M, r)
-    root = _run(np.sort(np.concatenate(
-        [plan.root] + [np.arange(J.start, J.stop) for J, _ in plan.pivots[len(done):]])))
+    root = plan.root
+    if len(done) < len(plan.pivots):
+        root = _run(np.sort(np.concatenate(
+            [np.r_[root]] + [np.arange(J.start, J.stop) for J, _ in plan.pivots[len(done):]])))
     R = M[_square(root)]
 
     def solve(r):

@@ -624,7 +624,7 @@ class TestElimination:
         # pivots left; d and e are then a clique
         assert plan.pivots == [(slice(0, 40), slice(40, 80)), (slice(40, 80), slice(80, 120)),
                                (slice(80, 120), slice(120, 160))]
-        assert plan.root.tolist() == list(range(120, 168))
+        assert plan.root == slice(120, 168)
 
     def test_fill_makes_a_clique(self):
         # a cycle a-b-c-d-a: eliminating a joins b and d, and b, c and d
@@ -634,7 +634,7 @@ class TestElimination:
         plan = solver._plan(offsets, 160, held)
         assert [(J, coords(N).tolist()) for J, N in plan.pivots] == [
             (slice(0, 40), list(range(40, 80)) + list(range(120, 160)))]
-        assert plan.root.tolist() == list(range(40, 160))
+        assert plan.root == slice(40, 160)
 
     @pytest.mark.parametrize("make, pivots", [
         (lambda: kron_power_third_half(3), 7), (multivariate_two, 2), (lambda: geomean_third(8), 2),
@@ -647,7 +647,7 @@ class TestElimination:
         plan = solver._plan(offsets, m, held)
         assert len(plan.pivots) == pivots
         assert all(J.stop - J.start >= solver._MIN_PIVOT for J, _ in plan.pivots)
-        cover = np.concatenate([coords(J) for J, _ in plan.pivots] + [plan.root])
+        cover = np.concatenate([coords(J) for J, _ in plan.pivots] + [coords(plan.root)])
         assert sorted(cover.tolist()) == list(range(m))
 
     @pytest.mark.parametrize("make", [lambda: kron_power_third_half(3), multivariate_two])
@@ -666,6 +666,18 @@ class TestElimination:
         plan = solver._plan(offsets, m, held)
         M, r = spd_with_pattern(m, held, rng), rng.standard_normal((m, 2))
         assert np.array_equal(solver._eliminate(M.copy(), plan)(r), np.linalg.solve(M, r))
+
+    def test_first_pivot_not_pd_is_the_dense_solve(self, rng):
+        # no pivot factors, so M is left as it was and the root is all of it
+        m, held, offsets = canonical_of(kron_power_third_half(3))
+        plan = solver._plan(offsets, m, held)
+        M = spd_with_pattern(m, held, rng)
+        J, _ = plan.pivots[0]
+        M[J, J] = -np.eye(J.stop - J.start)
+        work, r = M.copy(), rng.standard_normal((m, 2))
+        got = solver._eliminate(work, plan)(r)
+        assert np.array_equal(work, M)
+        assert np.array_equal(got, np.linalg.solve(M, r))
 
     def test_pivot_not_pd_joins_the_root(self, rng):
         # the second pivot's block is negative definite, so only the first
