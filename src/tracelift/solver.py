@@ -400,7 +400,7 @@ class _Plan(NamedTuple):
     takes as one dense matrix."""
 
     pivots: list
-    root: np.ndarray
+    root: slice | np.ndarray
 
 
 def _plan(offsets, m, held) -> _Plan:
@@ -457,9 +457,8 @@ def _eliminate(M, plan: _Plan):
     M_JJ: with B = (L^-1 M_JN)', M_NN -= B B' leaves in M the Schur
     complement of the pivots so far.  A pivot that does not factor ends the
     elimination, and it and every variable not yet eliminated join the
-    root.
-    The solve substitutes forward through the pivots, solves the root and
-    substitutes back.  Only the root solve raises LinAlgError.
+    root.  The solve substitutes forward through the pivots, solves the
+    root and substitutes back.  Only the root solve raises LinAlgError.
     """
     done = []
     for J, N in plan.pivots:
