@@ -26,10 +26,10 @@ The coefficient slices A_k are read from each LMI's held sparse form
 a handful of nonzeros in a block of a few dozen rows, so traces, linear
 combinations and the Schur complement are computed from those nonzeros.
 Blocks of one shape are stacked and each numpy call covers a stack;
-sums over blocks still run in model order, so solves are bit-identical
-to block-by-block ones.  The iterates X, S and the Schur complement M
-itself are dense -- intended for the small block sizes these
-constructions produce, not for large-scale work.
+sums over blocks and scatters into coordinates run in stack order.  The
+iterates X, S and the Schur complement M itself are dense -- intended for
+the small block sizes these constructions produce, not for large-scale
+work.
 
 M is factored once per iteration, by variable blocks: a lifted variable
 meets only its neighbours in the construction's chain, so M is
@@ -189,12 +189,12 @@ class _Blocks:
     coordinate idx[k] of each slice k, and the nonzeros (A_k)_p = v as
     columns (k, p, v) sorted by k and then p, as `model.Slices` holds
     them.  Every sum over blocks and every scatter into coordinates runs
-    in block order, as a block-by-block loop adds.
+    in stack order: the stacks in turn, and the blocks of each in turn.
     """
 
     def __init__(self, held):
-        shapes, n = {}, 0
-        for G0, idx, k, p, v in held:
+        shapes = {}
+        for n, (G0, idx, k, p, v) in enumerate(held):
             d = len(G0)
             has = np.bincount(k, minlength=len(idx)) > 0  # all-zero slices are dropped
             k = (np.cumsum(has) - 1)[k]
@@ -205,32 +205,24 @@ class _Blocks:
             upos, uval = _pack(k[up], p[up], np.where(i < j, 2.0, 1.0)[up] * v[up], na)
             shapes.setdefault((d,) + pos.shape + upos.shape, []).append(
                 (n, G0, np.asarray(idx)[has], pos, val, upos, uval))
-            n += 1
-        self.stacks = stacks = [_Stack(group) for group in shapes.values()]
-        self._perm = np.argsort(np.concatenate([s.order for s in stacks]))
-        self._rows = np.argsort(np.concatenate(
-            [np.repeat(s.order, s.idx.shape[1]) for s in stacks]), kind="stable")
-        self.coords = np.concatenate([s.idx.ravel() for s in stacks])[self._rows]
-        self._loop = [(i, k, stacks[i].idx[k]) for _, i, k in sorted(
-            (o, i, k) for i, s in enumerate(stacks) for k, o in enumerate(s.order))]
+        self.stacks = [_Stack(group) for group in shapes.values()]
+        self.coords = np.concatenate([s.idx.ravel() for s in self.stacks])
 
     def total(self, vals):
         """The sum over blocks of per-stack values (nb,)."""
-        return np.cumsum(np.concatenate(vals)[self._perm])[-1]
-
-    def _in_order(self, vals):  # per-stack (nb, na, ...) values, rows as in coords
-        return np.concatenate([v.reshape(-1, *v.shape[2:]) for v in vals])[self._rows]
+        return np.cumsum(np.concatenate(vals))[-1]
 
     def residual(self, b, X):
         """-b - sum_b tr(A_bk X_b), and the largest norm of a block's traces."""
         v = [s.traces(Xs) for s, Xs in zip(self.stacks, X)]
         rp = -b
-        np.subtract.at(rp, self.coords, self._in_order(v))  # adds up repeated coords
+        np.subtract.at(rp, self.coords, np.concatenate([t.ravel() for t in v]))  # adds up repeated coords
         return rp, max([0.0] + [_norms(t).max(initial=0.0) for t in v])
 
     def add_traces(self, out, T):
         """Add sum_b tr(A_bk T_b) to out[k] for every coordinate k; returns out."""
-        np.add.at(out, self.coords, self._in_order(map(_Stack.traces, self.stacks, T)))
+        v = [s.traces(Ts).ravel() for s, Ts in zip(self.stacks, T)]
+        np.add.at(out, self.coords, np.concatenate(v))
         return out
 
     def newton(self, W, R, C, rp):
@@ -242,11 +234,12 @@ class _Blocks:
         through flat positions, which is cheaper than symmetrising M."""
         m = len(rp)
         M = np.zeros(m * m)
-        for i, k, idx in self._loop:
-            T = self.stacks[i].schur(W[i][k], k)
-            T = T + T.T
-            T *= 0.5
-            M[(idx[:, None] * m + idx).ravel()] += T.ravel()
+        for s, Ws in zip(self.stacks, W):
+            for k, idx in enumerate(s.idx):
+                T = s.schur(Ws[k], k)
+                T = T + T.T
+                T *= 0.5
+                M[(idx[:, None] * m + idx).ravel()] += T.ravel()
         M = M.reshape(m, m)
         M.flat[:: m + 1] += 1e-14
         rhs = np.zeros((m, 2))

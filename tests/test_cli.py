@@ -219,7 +219,8 @@ class TestNearOverflow:
         assert main(["eval", *argv]) == 2
         assert "not finite" in capsys.readouterr().err
         out = tmp_path / "m.dat-s"
-        assert main(["emit", *argv, "--out", str(out)]) == 2
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["emit", *argv, "--out", str(out)]) == 2
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 

@@ -543,10 +543,21 @@ class TestNewtonSystem:
         # T and Z occur in two LMIs of one shape, so the two blocks share a
         # stack and every coordinate: M, rhs and rp must add both blocks'
         # terms, which a fancy-index += over the stacked coordinates drops
+        self.check_sums(rng, interleaved=False)
+
+    def test_interleaved_stacks_add_up(self, rng):
+        # an LMI I - T >= 0 between the two puts stack order out of model
+        # order, so each block's traces must reach its own coordinates
+        self.check_sums(rng, interleaved=True)
+
+    def check_sums(self, rng, interleaved):
+        """residual, newton and add_traces against dense per-block sums."""
         A, B = random_pd(2, rng), random_pd(2, rng)
         mb = ModelBuilder()
         T, Z = mb.fresh_var("T", 2), mb.fresh_var("Z", 2)
         mb.add_lmi2(AffineBlock.constant(A), AffineBlock.of_var(T), AffineBlock.of_var(Z))
+        if interleaved:
+            mb.add_lmi([[AffineBlock.constant(np.eye(2)) - AffineBlock.of_var(T)]])
         mb.add_lmi2(AffineBlock.constant(B), AffineBlock.of_var(T), AffineBlock.of_var(Z))
         mb.add_scalar(LinearFunctional(1.0, [(T, -np.eye(2))]))
         mb.set_objective("maximize", LinearFunctional(0.0, [(T, np.eye(2))]))
@@ -554,7 +565,8 @@ class TestNewtonSystem:
         b, _, held, _ = canonical(model)
         blocks = _Blocks(held)
         dense = list(dense_slices(model))
-        assert [s.order.tolist() for s in blocks.stacks] == [[0, 1], [2]]
+        orders = [[0, 2], [1], [3]] if interleaved else [[0, 1], [2]]
+        assert [s.order.tolist() for s in blocks.stacks] == orders
         assert set(blocks.stacks[0].idx[0]) & set(blocks.stacks[0].idx[1])
 
         # per-block X, W (PD), R and C, in model order and as stacks
@@ -572,6 +584,7 @@ class TestNewtonSystem:
             want_M[np.ix_(idx, idx)] += np.tensordot(Ab, W[None] @ Ab @ W[None], axes=([1, 2], [1, 2]))
             want_rhs[idx, 0] += np.tensordot(Ab, R, axes=([1, 2], [0, 1]))
             want_rhs[idx, 1] += np.tensordot(Ab, C, axes=([1, 2], [0, 1]))
+        assert_close(blocks.add_traces(np.zeros(m), stacked["C"]), want_rhs[:, 1])
         want_rhs[:, 0] -= want_rp
         assert_close(rp, want_rp)
         assert_close(M, (want_M + want_M.T) / 2 + 1e-14 * np.eye(m))

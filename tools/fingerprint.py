@@ -1,5 +1,5 @@
-"""One hash over tracelift's SDPA output and solves, to show that a change
-leaves both bit-identical.
+"""One hash over tracelift's SDPA output and solves, to show whether a
+change leaves both bit-identical, and which solves it alters if not.
 
     python3 tools/fingerprint.py [--src DIR]
 
