@@ -6,7 +6,9 @@ constraints (linear functionals, normalized to ``f(x) >= 0``), and an
 optional linear objective.  Each LMI and each functional is held in one
 sparse form, its `Slices` (a functional's are 1x1): a built one compiles
 them from its terms once, on first use, and ``import_sdpa`` and
-``realify`` make them directly.  Feasibility of an explicit assignment
+``realify`` make them directly.  Every producer makes them through
+`Slices.gather`, the one place that sorts, sums and drops the keyed
+entries.  Feasibility of an explicit assignment
 is checked on that form, the one the solver and SDPA export read;
 ``realify`` maps the slices of a complex model onto those of an
 equivalent real symmetric one.
@@ -262,6 +264,21 @@ class Slices(NamedTuple):
     p: np.ndarray
     v: np.ndarray
 
+    @classmethod
+    def gather(cls, G0, vars, keys, vals) -> "Slices":
+        """The slices of entries ``vals`` keyed s * n * n + p, n = len(G0):
+        sorted by key, the entries of one key summed in the order given,
+        starting from zero (a complex entry's real and imaginary parts
+        apart), and the zero sums dropped."""
+        keys, at = np.unique(keys, return_inverse=True)
+        v = np.empty(len(keys), dtype=vals.dtype)
+        v.real = np.bincount(at, vals.real, len(keys))  # adds in the order given
+        if np.iscomplexobj(v):
+            v.imag = np.bincount(at, vals.imag, len(keys))
+        nz = v != 0
+        s, p = np.divmod(keys[nz], len(G0) ** 2)
+        return cls(G0, tuple(vars), s, p, v[nz])
+
 
 class LmiConstraint:
     """A PSD constraint on the real coordinates of its variables, held as
@@ -332,38 +349,31 @@ class LmiConstraint:
                     start += range(key0, key0 + len(images[-1]) * n * n, n * n)
         images = np.concatenate(images)
         q, i, j = np.nonzero(images)  # in term order
-        keys, at = np.unique(np.array(start, dtype=int)[q] + i * n + j, return_inverse=True)
-        vals = images[q, i, j]
-        v = np.empty(len(keys), dtype=complex)
-        v.real = np.bincount(at, vals.real, len(keys))  # adds in term order
-        v.imag = np.bincount(at, vals.imag, len(keys))
-        nz = v != 0
-        s, p = np.divmod(keys[nz], n * n)
-        return Slices(G0, tuple(vars), s, p, v[nz])
+        return Slices.gather(G0, vars, np.array(start, dtype=int)[q] + i * n + j, images[q, i, j])
 
 
 class LinearFunctional:
     """constant + sum_v Re tr(M_v X_v), held as 1x1 `Slices` that a built
-    functional compiles from its ``(var, M)`` terms on first use; ``label``
-    names it where it is a scalar constraint."""
+    functional compiles from its ``(var, M)`` terms on first use, and a
+    realified one is made from; ``label`` names it where it is a scalar
+    constraint."""
 
-    def __init__(self, constant: float = 0.0, terms=(), label: str = ""):
+    def __init__(self, constant: float = 0.0, terms=(), label: str = "", slices: Slices | None = None):
         self.constant = float(constant)
         self.terms = tuple((v, np.asarray(M, dtype=complex)) for v, M in terms)
         self.label = label
-        self._slices = None
+        self._slices = slices
 
     def slices(self) -> Slices:
         """The held slices: coordinate k of variable v has the coefficient
         Re tr(M E_k), summed over v's terms in term order from zero."""
         if self._slices is None:
             vars = sorted({v for v, _ in self.terms}, key=lambda v: v.index)
-            coef = {v: np.zeros(len(var_basis(v))) for v in vars}
-            for v, M in self.terms:
-                coef[v] += np.trace(M @ var_basis(v), axis1=1, axis2=2).real
-            c = np.concatenate([np.zeros(0)] + [coef[v] for v in vars])
-            s = np.flatnonzero(c)
-            self._slices = Slices(np.array([[self.constant]]), tuple(vars), s, np.zeros_like(s), c[s])
+            first = dict(zip(vars, accumulate([len(var_basis(v)) for v in vars], initial=0)))
+            keys = [np.zeros(0, dtype=int)] + [first[v] + np.arange(len(var_basis(v))) for v, _ in self.terms]
+            vals = [np.zeros(0)] + [np.trace(M @ var_basis(v), axis1=1, axis2=2).real for v, M in self.terms]
+            self._slices = Slices.gather(np.array([[self.constant]]), vars, np.concatenate(keys),
+                                         np.concatenate(vals))
         return self._slices
 
     def evaluate(self, assignment) -> float:
@@ -575,10 +585,11 @@ def _realify_slices(sl: Slices, var_map, embed: bool, d: int | None = None) -> S
     if not embed:
         # the slices of imaginary basis matrices are imaginary (model_is_real)
         real = np.concatenate([np.zeros(0, dtype=bool)] + [_real_basis(u) for u in vars])
-        e = v.real != 0
-        return Slices(G0.real.copy(), new_vars, (np.cumsum(real) - 1)[s[e]], p[e], v.real[e])
+        keep = real[s]
+        return Slices.gather(G0.real.copy(), new_vars, ((np.cumsum(real) - 1)[s] * len(G0) ** 2 + p)[keep],
+                             v.real[keep])
     if d is None:
-        return Slices(G0, new_vars, s, p, v)
+        return sl._replace(vars=new_vars)
     size = len(G0)
     rows, n = size // d, 2 * size
     G0 = phi(G0.reshape(rows, d, rows, d).swapaxes(1, 2)).swapaxes(1, 2).reshape(n, n)
@@ -587,11 +598,7 @@ def _realify_slices(sl: Slices, var_map, embed: bool, d: int | None = None) -> S
     R, C = np.divmod(p, size)
     first = (s * n + R + R // d * d) * n + C + C // d * d
     keys = np.concatenate([first, first + d, first + d * n, first + d * n + d])
-    vals = np.concatenate([v.real, -v.imag, v.imag, v.real])
-    e = vals != 0
-    order = np.argsort(keys[e])
-    s, p = np.divmod(keys[e][order], n * n)
-    return Slices(G0, new_vars, s, p, vals[e][order])
+    return Slices.gather(G0, new_vars, keys, np.concatenate([v.real, -v.imag, v.imag, v.real]))
 
 
 def realify(model: SdpModel):
@@ -624,9 +631,7 @@ def realify(model: SdpModel):
             for lmi in model.lmis]
 
     def map_functional(f: LinearFunctional) -> LinearFunctional:
-        out = LinearFunctional(f.constant, label=f.label)
-        out._slices = _realify_slices(f.slices(), var_map, embed)
-        return out
+        return LinearFunctional(f.constant, label=f.label, slices=_realify_slices(f.slices(), var_map, embed))
 
     scalars = [map_functional(sc) for sc in model.scalars]
     objective = None
@@ -668,7 +673,8 @@ def canonical(model: SdpModel):
     blocks = []
     for held in _held(model):
         G0, vars, s, p, v = held.slices()
-        idx = np.array([offsets[u] + k for u in vars for k in range(len(var_basis(u)))], dtype=int)
+        idx = np.concatenate([np.zeros(0, dtype=int)] + [
+            offsets[u] + np.arange(len(var_basis(u))) for u in vars])
         blocks.append((G0, idx, s, p, v))
     G0, idx, s, _, v = blocks.pop()  # the objective
     b = np.zeros(m)

@@ -253,11 +253,9 @@ def import_sdpa(path) -> SdpModel:
         # the coefficient nonzeros: each entry at (i, j), and off the diagonal at (j, i) too
         keep = np.concatenate([~f0, ~f0 & (ie != je)])
         keys = np.concatenate([((s - 1) * size + ie) * size + je,
-                               ((s - 1) * size + je) * size + ie])[keep]
-        by_key = np.argsort(keys)
-        sk, p = np.divmod(keys[by_key], size * size)
-        lmis.append(LmiConstraint(label=label, slices=Slices(
-            G0, tuple(xs[k - 1] for k in mats[1:]), sk, p, np.concatenate([ve, ve])[keep][by_key])))
+                               ((s - 1) * size + je) * size + ie])
+        lmis.append(LmiConstraint(label=label, slices=Slices.gather(
+            G0, [xs[k - 1] for k in mats[1:]], keys[keep], np.concatenate([ve, ve])[keep])))
     terms = [(xs[k], [[-ck]]) for k, ck in enumerate(c) if ck != 0.0]
     objective = Objective("maximize", LinearFunctional(constant, terms))
     return SdpModel(xs, lmis, scalars, objective, realified=True)

@@ -236,10 +236,7 @@ class _Blocks:
         M = np.zeros(m * m)
         for s, Ws in zip(self.stacks, W):
             for k, idx in enumerate(s.idx):
-                T = s.schur(Ws[k], k)
-                T = T + T.T
-                T *= 0.5
-                M[(idx[:, None] * m + idx).ravel()] += T.ravel()
+                M[(idx[:, None] * m + idx).ravel()] += _sym(s.schur(Ws[k], k)).ravel()
         M = M.reshape(m, m)
         M.flat[:: m + 1] += 1e-14
         rhs = np.zeros((m, 2))
@@ -370,9 +367,7 @@ def _interior_step(X, D, alpha):
 
 
 class _Diverged(Exception):
-    """An attempt blew up; ``iterations`` is how many it ran."""
-
-    iterations = 0
+    """An attempt blew up."""
 
 
 # a variable of fewer coordinates than this is never a pivot of the Schur
@@ -482,10 +477,10 @@ def _eliminate(M, plan: _Plan):
 
 
 def _solve_canonical(b, blocks: _Blocks, plan: _Plan, opts: SolveOptions, tau_mul: float, frac: float):
-    """Run the path follower; returns (status, y, X, gap, pinf, dinf, iters).
+    """Run the path follower; returns (status, y, gap, pinf, dinf, iters),
+    the status ``"diverged"`` when the iterates blow up.
 
     X, S and the other per-block terms hold one array per stack of blocks.
-    Raises _Diverged, with the iterations run, when the iterates blow up.
     """
     stacks = blocks.stacks
     m = len(b)
@@ -607,17 +602,17 @@ def _solve_canonical(b, blocks: _Blocks, plan: _Plan, opts: SolveOptions, tau_mu
             # side's step changes the scaling, which often frees it again
             stuck = stuck + 1 if primal is None or dual is None else 0
             if (primal is None and dual is None) or stuck > _STALL_ITERS:
-                return "numerical_failure", y, X, gap, pinf, dinf, it
+                status = "numerical_failure"
+                break
             if primal is not None:
                 _, X, LX = primal
                 pinf, rp = moved
             if dual is not None:
                 ad, S, LS = dual
                 y = y + ad * dy
-    except _Diverged as exc:
-        exc.iterations = it
-        raise
-    return status, y, X, gap, pinf, dinf, it
+    except _Diverged:
+        status = "diverged"
+    return status, y, gap, pinf, dinf, it
 
 
 def solve(model: SdpModel, options: SolveOptions | None = None) -> SolveResult:
@@ -630,14 +625,12 @@ def solve(model: SdpModel, options: SolveOptions | None = None) -> SolveResult:
     attempts = []
     best = None
     for tau_mul, frac in _LADDER:
-        try:
-            out = _solve_canonical(b, blocks, plan, opts, tau_mul, frac)
-        except _Diverged as exc:
-            attempts.append(Attempt(tau_mul, frac, "diverged", exc.iterations))
+        out = _solve_canonical(b, blocks, plan, opts, tau_mul, frac)
+        attempts.append(Attempt(tau_mul, frac, out[0], out[-1]))
+        if out[0] == "diverged":
             continue
-        attempts.append(Attempt(tau_mul, frac, out[0], out[6]))
         # an optimal attempt wins over any earlier one, whatever its gap
-        if best is None or out[0] == "optimal" or out[3] < best[3]:
+        if best is None or out[0] == "optimal" or out[2] < best[2]:
             best = out
         if out[0] == "optimal":
             break
@@ -648,7 +641,7 @@ def solve(model: SdpModel, options: SolveOptions | None = None) -> SolveResult:
             iterations=0, duality_gap=np.inf, primal_infeas=np.inf,
             dual_infeas=np.inf, attempts=attempts,
         )
-    status, y, X, gap, pinf, dinf, iters = best
+    status, y, gap, pinf, dinf, iters = best
 
     # each variable's value: sum_k y_k E_k over the basis matrices that its
     # realified variable keeps, all of them when embedded by phi, else its

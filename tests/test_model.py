@@ -14,6 +14,8 @@ from tracelift.model import (
     LinearFunctional,
     LmiConstraint,
     ModelBuilder,
+    Slices,
+    VarId,
     WitnessAssignment,
     canonical,
     check_feasible,
@@ -225,6 +227,40 @@ class TestHeldSlices:
         export_sdpa(rm, tmp_path / "m.dat-s")
         assert calls == list(model.lmis)
         assert all(lmi.slices() is sl for lmi, sl in zip(rm.lmis, held))
+
+    def test_gather_sums_in_the_order_given(self):
+        # on a 2x2 G0, key 5 is slice 1 at position 1, and key 7 slice 1 at 3:
+        # 1e16 + 1 rounds to 1e16, so the order of one key's entries decides
+        # whether the 1 survives, and a zero sum is dropped
+        keys = np.array([7, 5, 7, 0, 5, 2, 5, 7])
+        vals = np.array([1e16, 1e16, -1e16, 2.0, 1.0, 3.0, -1e16, 1.0])
+        s, p, v = Slices.gather(np.zeros((2, 2)), [], keys, vals)[2:]
+        assert (s.tolist(), p.tolist(), v.tolist()) == ([0, 0, 1], [0, 2, 3], [2.0, 3.0, 1.0])
+
+    def test_gather_sorts_by_slice_then_position(self, rng):
+        keys = rng.permutation(40)[:25]
+        sl = Slices.gather(np.zeros((3, 3)), [], keys, rng.standard_normal(25))
+        assert sorted(zip(sl.s, sl.p)) == list(zip(sl.s, sl.p))
+        assert (sl.s * 9 + sl.p).tolist() == sorted(keys)
+
+    def test_gather_sums_complex_parts(self):
+        # a key whose real parts cancel keeps its imaginary sum, and one
+        # whose parts both cancel is dropped
+        keys = np.array([4, 1, 4, 1, 3, 3])
+        vals = np.array([1 + 1j, 2 - 1j, -1 + 1j, 3 + 1j, 1 + 2j, -1 - 2j])
+        sl = Slices.gather(np.zeros((2, 2)), [], keys, vals)
+        assert sl.v.dtype == complex
+        assert (sl.s.tolist(), sl.p.tolist(), sl.v.tolist()) == ([0, 1], [1, 0], [5 + 0j, 2j])
+
+    def test_functional_made_from_slices(self, rng):
+        # a functional made from slices evaluates from them: it has no terms
+        x = VarId(0, 2, "X", "real")
+        sl = Slices.gather(np.array([[1.5]]), [x], np.array([0, 2]), np.array([2.0, -1.0]))
+        f = LinearFunctional(1.5, slices=sl)
+        assert f.terms == () and f.slices() is sl
+        X = random_pd(2, rng, complex_=False)
+        c = var_coords(x, X)
+        assert f.evaluate({x: X}) == 1.5 + (np.array([2.0, -1.0]) * c[[0, 2]]).sum()
 
 
 class TestSchurEquivalence:

@@ -12,9 +12,12 @@ Hashes, with SHA-256:
   of every ``FUNCTIONS`` entry on its first n = 2 draw from
   ``default_rng(0)``, with real and with complex data.
 
-Prints one line per solve -- function, data, status, iterations and the
-hash of that solve's part -- so that the solves two versions differ in
-show, then one line: the number of files and solves hashed, and the hash.
+Prints one line with the number of SDPA files and the hash of their bytes
+alone, so that a change that alters solves can still show its SDPA output
+unchanged; then one line per solve -- function, data, status, iterations
+and the hash of that solve's part -- so that the solves two versions
+differ in show; then one line: the number of files and solves hashed, and
+the hash of both.
 BLAS runs on one thread, because the thread count changes iteration counts.
 ``--src`` imports tracelift from another checkout's src/ directory, so
 that the lines of two versions can be compared.
@@ -80,7 +83,7 @@ def main(argv=None):
     sys.path.insert(0, args.src)
     import tracelift as tl
 
-    digest, files, solves = hashlib.sha256(), 0, 0
+    digest, sdpa, files, solves = hashlib.sha256(), hashlib.sha256(), 0, 0
     with tempfile.TemporaryDirectory() as tmp:
         p1, p2 = Path(tmp) / "a.dat-s", Path(tmp) / "b.dat-s"
         for model in criterion_10_models(tl):
@@ -88,7 +91,9 @@ def main(argv=None):
             tl.export_sdpa(tl.import_sdpa(p1), p2)
             for path in (p1, p2):
                 digest.update(path.read_bytes())
+                sdpa.update(path.read_bytes())
             files += 2
+    print(f"files {files} sha256 {sdpa.hexdigest()}")
     p = {"t": tl.RationalExponent(1, 2), "s": tl.RationalExponent(1, 3),
          "weights": [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]}
     for name, entry in tl.FUNCTIONS.items():
