@@ -236,7 +236,8 @@ class _Blocks:
         M = np.zeros(m * m)
         for s, Ws in zip(self.stacks, W):
             for k, idx in enumerate(s.idx):
-                M[(idx[:, None] * m + idx).ravel()] += _sym(s.schur(Ws[k], k)).ravel()
+                T = _sym(s.schur(Ws[k], k))  # first, so that schur's peak is not on top of M[...]'s copy
+                M[(idx[:, None] * m + idx).ravel()] += T.ravel()
         M = M.reshape(m, m)
         M.flat[:: m + 1] += 1e-14
         rhs = np.zeros((m, 2))
