@@ -249,8 +249,7 @@ class _Blocks:
 
 def _sym(M):
     S = M + M.swapaxes(-1, -2)
-    S /= 2  # in place: one temporary fewer, which lowers the peak memory of large solves
-    return S
+    return np.divide(S, 2, out=S)  # in place: one temporary fewer lowers the peak memory of large solves
 
 
 def _dot(P, Q):
@@ -630,10 +629,8 @@ def solve(model: SdpModel, options: SolveOptions | None = None) -> SolveResult:
     for tau_mul, frac in _LADDER:
         out = _solve_canonical(b, blocks, plan, opts, tau_mul, frac)
         attempts.append(Attempt(tau_mul, frac, out[0], out[-1]))
-        if out[0] == "diverged":
-            continue
         # an optimal attempt wins over any earlier one, whatever its gap
-        if best is None or out[0] == "optimal" or out[2] < best[2]:
+        if out[0] != "diverged" and (best is None or out[0] == "optimal" or out[2] < best[2]):
             best = out
         if out[0] == "optimal":
             break
