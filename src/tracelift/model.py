@@ -673,8 +673,10 @@ def canonical(model: SdpModel):
     blocks = []
     for held in _held(model):
         G0, vars, s, p, v = held.slices()
-        idx = np.concatenate([np.zeros(0, dtype=int)] + [
-            offsets[u] + np.arange(len(var_basis(u))) for u in vars])
+        # offsets[u] + k for each coordinate k of each u in turn, with no numpy call per variable
+        n = np.array([len(var_basis(u)) for u in vars], dtype=int)
+        first = np.array([offsets[u] for u in vars], dtype=int) - (np.cumsum(n) - n)
+        idx = np.repeat(first, n) + np.arange(n.sum())
         blocks.append((G0, idx, s, p, v))
     G0, idx, s, _, v = blocks.pop()  # the objective
     b = np.zeros(m)
