@@ -148,7 +148,7 @@ def cmd_verify(args) -> int:
     for trial in range(args.trials):
         data = fn.draw(p, args.n, rng, args.complex, given)
         con = fn.build(data, p)
-        wit = fn.witness(data, p, con)
+        wit = con.make_witness()
         feas = check_feasible(con.model, wit, tol=1e-9).ok
         res = solve(con.model)
         oracle = fn.oracle(data, p)

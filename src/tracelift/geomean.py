@@ -24,7 +24,7 @@ come out of the same recursion that emits the LMIs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -60,7 +60,6 @@ class Construction:
     model: SdpModel
     target: VarId | None
     recipes: list  # (VarId, recipe) pairs, as ModelBuilder.add_recipe takes them
-    aux: dict = field(default_factory=dict)  # named extra vars (tau, X, ...)
     report_divisor: float = 1.0  # objective is divided by this on report
 
     @classmethod
@@ -68,16 +67,12 @@ class Construction:
         """The builder's frozen model and its recipes."""
         return cls(model=b.freeze(), target=target, recipes=list(b.recipes), **kw)
 
-    def make_witness(self, base: dict | None = None) -> WitnessAssignment:
-        """Resolve the recorded recipes into an explicit assignment.
-
-        ``base`` supplies values for free variables (when present) and
-        may pre-assign any variable, short-circuiting its recipe.
-        """
-        asgn = WitnessAssignment(base or {})
+    def make_witness(self) -> WitnessAssignment:
+        """Resolve the recorded recipes, in order, into an explicit
+        assignment: the proof's witness."""
+        asgn = WitnessAssignment()
         for var, recipe in self.recipes:
-            if var not in asgn:
-                asgn[var] = recipe(asgn)
+            asgn[var] = recipe(asgn)
         return asgn
 
 

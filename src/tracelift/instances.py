@@ -5,8 +5,9 @@ Positive definite matrices are Q diag(exp(u)) Q* with u uniform in
 condition numbers stay below e^4 and solver tests remain well posed.
 
 ``FUNCTIONS`` maps each function name to its ``Function`` entry: the
-data slots it draws, the parameters it needs, and its builder, oracle
-and witness.  The command line and the hard-set sweep both iterate it.
+data slots it draws, the parameters it needs, and its builder and
+oracle; every construction's witness is ``con.make_witness()``.  The
+command line and the hard-set sweep both iterate it.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .lieb import (
     build_tsallis_entropy,
     build_tsallis_rel_entropy,
     build_upsilon,
-    fidelity_witness,
-    upsilon_equality_witness,
 )
 
 
@@ -83,14 +82,12 @@ def _kron_trace(mats, exps) -> float:
 
 @dataclass(frozen=True)
 class Function:
-    """One compiled function: its data, parameters, builder, oracle and witness.
+    """One compiled function: its data, parameters, builder and oracle.
 
     ``data`` maps each slot to its matrix (``mats`` to a list of them) and
     ``p`` each parameter to its value: ``t`` and ``s`` as RationalExponent,
-    ``weights`` as a list of Fractions.  ``builder``, ``closed_form`` and
-    ``witness_recipe`` take the values named by ``args`` in that order, the
-    witness recipe followed by the construction; without a recipe the
-    witness is ``con.make_witness()``.
+    ``weights`` as a list of Fractions.  ``builder`` and ``closed_form``
+    take the values named by ``args`` in that order.
     ``check(p, given)`` rejects parameters that do not fit each other or
     the matrices given.
     """
@@ -99,7 +96,6 @@ class Function:
     args: tuple  # slots and parameters, in call order
     builder: Callable
     closed_form: Callable
-    witness_recipe: Callable | None = None
     check: Callable = lambda p, given: None
 
     @property
@@ -138,11 +134,6 @@ class Function:
     def oracle(self, data, p) -> float:
         return self.closed_form(*self._values(data, p))
 
-    def witness(self, data, p, con):
-        if self.witness_recipe is None:
-            return con.make_witness()
-        return self.witness_recipe(*self._values(data, p), con)
-
 
 FUNCTIONS = {
     "geomean": Function(
@@ -161,7 +152,6 @@ FUNCTIONS = {
     ),
     "tsallis": Function(("A",), ("A", "t"), build_tsallis_entropy, tsallis_entropy),
     "tsallis_rel": Function(("A", "B"), ("A", "B", "t"), build_tsallis_rel_entropy, tsallis_rel_entropy),
-    "upsilon": Function(("A", "K"), ("K", "A", "t"), build_upsilon, upsilon_value,
-                        upsilon_equality_witness),
-    "fidelity": Function(("A", "B"), ("A", "B"), build_fidelity, fidelity_value, fidelity_witness),
+    "upsilon": Function(("A", "K"), ("K", "A", "t"), build_upsilon, upsilon_value),
+    "fidelity": Function(("A", "B"), ("A", "B"), build_fidelity, fidelity_value),
 }

@@ -17,6 +17,7 @@ its own one-block LMI.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -45,11 +46,17 @@ def _geodesic(b: ModelBuilder, letter: str, dim: int, t: Fraction, A, B) -> VarI
     return T.terms[0].var
 
 
-def _pinch(b: ModelBuilder, tau: VarId, weight: float, constant: float, terms, concave: bool):
-    """Bound ``weight`` * tau by ``constant`` + the functional of ``terms``:
-    f = that bound - weight * tau >= 0 with tau maximized in the concave
-    range, else -f >= 0 with tau minimized.  tau's recipe makes the bound
-    tight: tau = f / weight at tau = 0."""
+def _rank_one_bound(b: ModelBuilder, T: VarId, t: Fraction, P, Q, name: str, weight: float,
+                    constant: float, terms, concave: bool):
+    """Put the caller's T on the geodesic P #_t Q (its witness recipe and
+    the LMIs of `emit`), then bound ``weight`` * tau, tau a fresh scalar
+    named ``name``, by ``constant`` + the functional of ``terms``: f = that
+    bound - weight * tau >= 0 with tau maximized in the concave range, else
+    -f >= 0 with tau minimized.  tau's recipe makes the bound tight:
+    tau = f / weight at tau = 0."""
+    b.add_recipe(T, on_geodesic(t, P, Q))
+    emit(b, P, Q, AffineBlock.of_var(T), t)
+    tau = b.fresh_var(name, 1, kind="real")
     terms = [*terms, (tau, -weight * np.eye(1))]
     if not concave:  # 0.0 - c rather than -c keeps a zero constant +0.0
         constant, terms = 0.0 - constant, [(v, -M) for v, M in terms]
@@ -77,11 +84,11 @@ def build_lieb(K, A, B, t: RationalExponent) -> Construction:
     if K.shape != (n, m):
         raise DimensionMismatch(f"K must be {n} x {m}, got {K.shape}")
     b = ModelBuilder()
-    Tvar = _geodesic(b, "T", n * m, t, _lift_left(A, m), _lift_right(B, n))
+    Tvar = b.fresh_var("T", n * m)
     v = vec_rows(K)
-    tau = b.fresh_var("tau", 1, kind="real")
-    _pinch(b, tau, 1.0, 0.0, [(Tvar, v @ v.conj().T)], 0 <= t <= 1)
-    return Construction.of(b, Tvar, aux={"tau": tau})
+    _rank_one_bound(b, Tvar, t, _lift_left(A, m), _lift_right(B, n), "tau", 1.0, 0.0,
+                    [(Tvar, v @ v.conj().T)], 0 <= t <= 1)
+    return Construction.of(b, Tvar)
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +180,11 @@ def build_tsallis_rel_entropy(A, B, t: RationalExponent) -> Construction:
     if B.shape[0] != n:
         raise DimensionMismatch("A and B must have equal dimensions")
     b = ModelBuilder()
-    Tvar = _geodesic(b, "T", n * n, t, _lift_left(A, n), _lift_right(B, n))
+    Tvar = b.fresh_var("T", n * n)
     v = vec_rows(np.eye(n))
-    sigma = b.fresh_var("sigma", 1, kind="real")
-    _pinch(b, sigma, float(t), np.trace(A).real, [(Tvar, -(v @ v.conj().T))], concave=False)
-    return Construction.of(b, Tvar, aux={"sigma": sigma})
+    _rank_one_bound(b, Tvar, t, _lift_left(A, n), _lift_right(B, n), "sigma", float(t),
+                    np.trace(A).real, [(Tvar, -(v @ v.conj().T))], concave=False)
+    return Construction.of(b, Tvar)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +198,7 @@ def build_upsilon(K, A, t: RationalExponent) -> Construction:
     I (x) conj(X); the construction uses exponent 1 - t, maximizing
     for t in (0,1] and minimizing for t in [-1,0) u (1,2].  Divide the
     reported optimum by t (``report_divisor``) to get Upsilon itself.
+    X's witness recipe is the optimal X = (K* A^t K)^{1/t}.
     """
     K = np.asarray(K, dtype=complex)
     if t == 0:
@@ -204,29 +212,21 @@ def build_upsilon(K, A, t: RationalExponent) -> Construction:
     v = vec_rows(K)
     b = ModelBuilder()
     Tvar = b.fresh_var("T", n * m)
-    tau = b.fresh_var("tau", 1, kind="real")
     terms = [(Tvar, v @ v.conj().T)]
-    aux = {"tau": tau}
     LX = LA  # at t = 1, s = 0 and A #_0 X = A needs no X
     if t != 1:
-        aux["X"] = Xvar = b.fresh_var("X", m)
+        Xvar = b.fresh_var("X", m)
+        b.add_recipe(Xvar, lambda asgn: herm_power(
+            hermitize(K.conj().T @ herm_power(A, float(t)) @ K), 1.0 / float(t)))
         LX = AffineBlock.of_var(Xvar, op="conj", kl=np.eye(n))
         terms.append((Xvar, -float(s) * np.eye(m)))
-    b.add_recipe(Tvar, on_geodesic(s, LA, LX))
-    emit(b, LA, LX, AffineBlock.of_var(Tvar), s)
-    _pinch(b, tau, 1.0, 0.0, terms, 0 <= s <= 1)
-    return Construction.of(b, Tvar, aux=aux, report_divisor=float(t))
+    _rank_one_bound(b, Tvar, s, LA, LX, "tau", 1.0, 0.0, terms, 0 <= s <= 1)
+    return Construction.of(b, Tvar, report_divisor=float(t))
 
 
 def upsilon_equality_witness(K, A, t, construction: Construction) -> WitnessAssignment:
-    """Witness attaining the optimum: X = (K* A^t K)^{1/t}."""
-    K = np.asarray(K, dtype=complex)
-    t = float(t)
-    base = {}
-    if "X" in construction.aux:
-        M = hermitize(K.conj().T @ herm_power(A, t) @ K)
-        base[construction.aux["X"]] = herm_power(M, 1.0 / t)
-    return construction.make_witness(base)
+    """Witness attaining the optimum: the construction's recipes."""
+    return construction.make_witness()
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,8 @@ def build_fidelity(A, B) -> Construction:
     """Model whose optimum is F(A,B) = tr[(A^{1/2} B A^{1/2})^{1/2}].
 
     The off-diagonal slot Z = H + iG runs over all of C^{n x n} via two
-    Hermitian variables; the objective is Re tr Z = tr H.
+    Hermitian variables; the objective is Re tr Z = tr H.  The recipes take
+    Z = A^{1/2} U* B^{1/2}, U the polar part of B^{1/2} A^{1/2}: the optimum.
     """
     A, B = hermitize(A), hermitize(B)
     n = A.shape[0]
@@ -252,19 +253,18 @@ def build_fidelity(A, B) -> Construction:
         label="fidelity",
     )
     b.set_objective("maximize", LinearFunctional(0.0, [(H, np.eye(n))]))
-    return Construction.of(b, H, aux={"H": H, "G": G})
+
+    @cache
+    def optimal_z():
+        Ah, Bh = herm_power(A, 0.5), herm_power(B, 0.5)
+        U_, _, Vh_ = np.linalg.svd(Bh @ Ah)
+        return Ah @ (U_ @ Vh_).conj().T @ Bh  # U_ @ Vh_: the polar part
+
+    b.add_recipe(H, lambda asgn: hermitize((optimal_z() + optimal_z().conj().T) / 2))
+    b.add_recipe(G, lambda asgn: hermitize((optimal_z() - optimal_z().conj().T) / 2j))
+    return Construction.of(b, H)
 
 
 def fidelity_witness(A, B, construction: Construction) -> WitnessAssignment:
-    """Optimal off-diagonal Z = A^{1/2} U* B^{1/2} from the polar part
-    U of B^{1/2} A^{1/2}; attains Re tr Z = F(A,B)."""
-    A, B = hermitize(A), hermitize(B)
-    Ah, Bh = herm_power(A, 0.5), herm_power(B, 0.5)
-    M = Bh @ Ah
-    U_, s_, Vh_ = np.linalg.svd(M)
-    U = U_ @ Vh_  # polar part: M = U P
-    Z = Ah @ U.conj().T @ Bh
-    return WitnessAssignment({
-        construction.aux["H"]: hermitize((Z + Z.conj().T) / 2),
-        construction.aux["G"]: hermitize((Z - Z.conj().T) / 2j),
-    })
+    """Witness attaining F(A,B): the construction's recipes."""
+    return construction.make_witness()

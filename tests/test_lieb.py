@@ -1,5 +1,7 @@
 """Trace-functional models: Lieb, Kronecker powers, entropies, fidelity."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,18 @@ class TestFidelity:
         res = solve(con.model)
         assert res.ok
         assert _rel(res.objective, want) < 1e-6
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("name", list(FUNCTIONS))
+def test_every_witness_from_its_recipes(name, complex_):
+    # the builder's recipes alone give a feasible witness that attains the
+    # closed form; upsilon is checked at criterion 6's 1e-8
+    fn = FUNCTIONS[name]
+    p = {"t": RationalExponent(1, 2), "s": RationalExponent(1, 3),
+         "weights": [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]}
+    data = fn.draw(p, 2, np.random.default_rng(0), complex_)
+    con = fn.build(data, p)
+    wit = con.make_witness()
+    assert check_feasible(con.model, wit, tol=1e-8 if name == "upsilon" else 1e-9).ok
+    assert abs(_report(con, wit) - fn.oracle(data, p)) < 1e-8
