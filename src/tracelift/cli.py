@@ -138,7 +138,8 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     fn, p, given = _spec(args)
     rng = np.random.default_rng(args.seed)
-    header = f"{'trial':>5} {'witness':>8} {'rel.err':>10} {'census':>7} {'result':>7}"
+    header = (f"{'trial':>5} {'witness':>8} {'rel.err':>10} {'status':>17} "
+              f"{'census':>7} {'result':>7}")
     print(header)
     all_ok = True
     audit = None  # the census depends on t and the size of A only
@@ -159,7 +160,7 @@ def cmd_verify(args) -> int:
         ok = feas and audit is not False and rel <= 1e-6
         all_ok = all_ok and ok
         print(
-            f"{trial:>5} {'ok' if feas else 'FAIL':>8} {rel:>10.2e} "
+            f"{trial:>5} {'ok' if feas else 'FAIL':>8} {rel:>10.2e} {res.status:>17} "
             f"{census_txt:>7} {'PASS' if ok else 'FAIL':>7}"
         )
     print("PASS" if all_ok else "FAIL")

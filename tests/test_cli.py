@@ -1,10 +1,12 @@
 """Command-line interface, exercised in-process through main()."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tracelift import cli
 from tracelift.cli import main, save_matrix
 from tracelift.instances import FUNCTIONS, random_pd
 from tracelift.sdpa import import_sdpa
@@ -110,6 +112,17 @@ class TestVerify:
                    "--complex", "--trials", "2", "--seed", "3"])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_status_of_a_failed_trial(self, capsys, monkeypatch):
+        # a trial that fails for want of an optimal solve says how it ended
+        solve = cli.solve
+        monkeypatch.setattr(cli, "solve", lambda model: replace(
+            solve(model), status="iteration_limit", objective=None))
+        rc = main(["verify", "--function", "geomean", "--t", "1/2", "--trials", "1"])
+        header, row = capsys.readouterr().out.splitlines()[:2]
+        assert rc == 1
+        assert header.split() == ["trial", "witness", "rel.err", "status", "census", "result"]
+        assert row.split() == ["0", "ok", "inf", "iteration_limit", "ok", "FAIL"]
 
 
 class TestCount:
