@@ -99,10 +99,10 @@ class SolveResult:
     - ``"iteration_limit"``: ``max_iters`` ran out before that.
     - ``"numerical_failure"``: the iterates stalled -- X or (y, S) found
       no strictly interior step for several iterations in a row.
-    - ``"infeasible"``: every attempt diverged (iterates blew up, the
+    - ``"diverged"``: every attempt diverged (iterates blew up, the
       search direction became NaN, or mu vanished with residuals still
-      above 1e-4).  This is inferred from
-      divergence, not backed by a certificate.
+      above 1e-4).  No certificate backs it: the model may be infeasible,
+      unbounded, or feasible with data too large for the start.
 
     ``iterations`` counts the chosen attempt only; ``attempts`` lists every
     attempt of the ladder in order, so the cost of the failed ones shows.
@@ -636,7 +636,7 @@ def solve(model: SdpModel, options: SolveOptions | None = None) -> SolveResult:
             break
     if best is None:
         return SolveResult(
-            status="infeasible", objective=None,
+            status="diverged", objective=None,
             var_values=WitnessAssignment(), y=np.zeros(len(b)),
             iterations=0, duality_gap=np.inf, primal_infeas=np.inf,
             dual_infeas=np.inf, attempts=attempts,
