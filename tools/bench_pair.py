@@ -1,22 +1,24 @@
-"""Paired benchmark runs of a base revision and the working tree, written as
-a before/after pair of BENCH_*.json files at the repository root.
+"""Paired benchmark runs of a base revision and HEAD, written as a
+before/after pair of BENCH_*.json files at the repository root.
 
     python3 tools/bench_pair.py --base REV --workload W --pairs N --seconds S \\
         --seed K --label L [--trace 0|1]
 
-Extracts REV with ``git archive`` into a temporary directory and runs
-``bench/run.py`` there and in the working tree, N times each. The side
+Extracts REV and HEAD with ``git archive`` into the sibling directories
+``parent/`` and ``change/`` of one temporary directory, so that the two
+checkouts' paths have one length (the heap's layout, and with it
+``peak_rss_mb``, moves with the path), and runs ``bench/run.py`` in each,
+N times. Uncommitted changes are not measured: commit first. The side
 that goes first alternates from pair to pair, so a drift in the machine's
 load falls on both sides alike. From each run it reads the last JSON line
 of standard output (the metrics) and ``bench/results/<W>-seed<K>-trace<T>.json``
 (the per-case records).
 
-Writes BENCH_<L>_parent.json (REV) and BENCH_<L>_change.json (the working
-tree). Each holds every run's metrics and their medians; each case's
-solver status and iterations (verify workloads) or SDPA bytes (emit), as
-seen in every round of every run; the Python and numpy versions and the
-CPU count; the seed; and the commit, with a dirty flag for the working
-tree, which does not count the BENCH_*.json files at the repository root.
+Writes BENCH_<L>_parent.json (REV) and BENCH_<L>_change.json (HEAD). Each
+holds every run's metrics and their medians; each case's solver status and
+iterations (verify workloads) or SDPA bytes (emit), as seen in every round
+of every run; the Python and numpy versions and the CPU count; the seed;
+and the commit.
 """
 
 import argparse
@@ -75,7 +77,7 @@ def case_outcomes(runs) -> list:
     return out
 
 
-def side_doc(side, commit, dirty, runs, args) -> dict:
+def side_doc(side, commit, runs, args) -> dict:
     metrics = list(runs[0]["metrics"])
     return {
         "label": args.label,
@@ -85,7 +87,6 @@ def side_doc(side, commit, dirty, runs, args) -> dict:
         "seconds": args.seconds,
         "trace": args.trace,
         "commit": commit,
-        "dirty": dirty,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "cpus": os.cpu_count(),
@@ -109,18 +110,18 @@ def main(argv=None):
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
-    base = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    head = git("rev-parse", "HEAD")
-    # the BENCH_*.json files at the root are this tool's own output
-    dirty = bool(git("status", "--porcelain", "--", ":(top,exclude,glob)BENCH_*.json"))
+    commits = {"parent": git("rev-parse", "--verify", f"{args.base}^{{commit}}"),
+               "change": git("rev-parse", "HEAD")}
     runs = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", base],
-                                   stdout=subprocess.PIPE)
-        subprocess.run(["tar", "-x", "-C", tmp], stdin=archive.stdout, check=True)
-        if archive.wait() != 0:
-            sys.exit(f"git archive {base} failed")
-        trees = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
+        trees = {side: Path(tmp) / side for side in commits}
+        for side, tree in trees.items():
+            tree.mkdir()
+            archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", commits[side]],
+                                       stdout=subprocess.PIPE)
+            subprocess.run(["tar", "-x", "-C", str(tree)], stdin=archive.stdout, check=True)
+            if archive.wait() != 0:
+                sys.exit(f"git archive {commits[side]} failed")
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
@@ -131,10 +132,9 @@ def main(argv=None):
                       + ", ".join(f"{k} {v:.4g}" for k, v in run["metrics"].items()),
                       file=sys.stderr)
 
-    for side, commit, is_dirty in (("parent", base, False), ("change", head, dirty)):
+    for side, commit in commits.items():
         path = ROOT / f"BENCH_{args.label}_{side}.json"
-        path.write_text(json.dumps(side_doc(side, commit, is_dirty, runs[side], args),
-                                   indent=1) + "\n")
+        path.write_text(json.dumps(side_doc(side, commit, runs[side], args), indent=1) + "\n")
         print(f"wrote {path.name}")
     return 0
 
