@@ -16,10 +16,9 @@ affine (predictor) direction, uses it to pick the centring weight, and
 then takes a corrector direction that adds the predictor's second-order
 term, in the NT-scaled form of Todd, Toh and Tutuncu (1998).  A corrector
 step that raises the primal infeasibility, which only rounding can do, is
-replaced by the corrector without that term and then by a pure centring
-step; once the gap has closed, every step is a centring step.  Complex
-models are realified first; each original variable's value is then the
-combination of the basis matrices its realified variable keeps.
+replaced by a centring step.  Complex models are realified first; each
+original variable's value is then the combination of the basis matrices
+its realified variable keeps.
 
 The coefficient slices A_k are read from each LMI's held sparse form
 (`model.Slices`): every one is a single basis element in one grid slot,
@@ -573,29 +572,24 @@ def _solve_canonical(b, blocks: _Blocks, plan: _Plan, opts: SolveOptions, tau_mu
             factored = _eliminate(M, plan)
             del M
             dy_aff, dy_cen = solve_m(rhs).T
-            candidates = []
-            if gap > _GAP_TOL:
-                # the predictor (affine direction): its decrease picks the
-                # centring weight, and its second-order term corrects the
-                # corrector (Mehrotra, in the NT-scaled form of Todd, Toh
-                # and Tutuncu, 1998)
-                dX_a, dS_a = direction(dy_aff, [-Xs for Xs in X])
-                ap, ad = ratio_test(LX, dX_a), ratio_test(LS, dS_a)
-                trxs_a = blocks.total(
-                    [_dot(Xs + ap * dXs, Ss + ad * dSs) for Xs, dXs, Ss, dSs in zip(X, dX_a, S, dS_a)])
-                sigma = np.clip((max(trxs_a, 0.0) / trxs) ** 3, _MIN_SIGMA, _MAX_SIGMA)
-                C = [_second_order(Gs, Vs, dSs) for Gs, Vs, dSs in zip(G, V, dS_a)]
-                dy_c = solve_m(blocks.add_traces(np.zeros(m), C))
-                candidates = [corrector(sigma, dy_c, C), corrector(sigma)]
+            # the predictor (affine direction): its decrease picks the
+            # centring weight, and its second-order term corrects the
+            # corrector (Mehrotra, in the NT-scaled form of Todd, Toh and
+            # Tutuncu, 1998)
+            dX_a, dS_a = direction(dy_aff, [-Xs for Xs in X])
+            ap, ad = ratio_test(LX, dX_a), ratio_test(LS, dS_a)
+            trxs_a = blocks.total(
+                [_dot(Xs + ap * dXs, Ss + ad * dSs) for Xs, dXs, Ss, dSs in zip(X, dX_a, S, dS_a)])
+            sigma = np.clip((max(trxs_a, 0.0) / trxs) ** 3, _MIN_SIGMA, _MAX_SIGMA)
+            C = [_second_order(Gs, Vs, dSs) for Gs, Vs, dSs in zip(G, V, dS_a)]
+            dy_c = solve_m(blocks.add_traces(np.zeros(m), C))
             del factored
-            # the centring direction keeps mu and only cuts the residuals:
-            # it is the step once the gap has closed, and the last resort.
-            # In exact arithmetic a step cuts the primal residual by the
-            # factor 1 - alpha, so a step that raises the primal
-            # infeasibility is ruled by rounding; the first direction whose
-            # step keeps it within max(pinf, _FEAS_TOL) is taken
-            candidates.append(corrector(_MAX_SIGMA))
-            for dy, Rc in candidates:
+            # in exact arithmetic a step cuts the primal residual by the
+            # factor 1 - alpha, so only rounding can raise the primal
+            # infeasibility: a corrector step that raises it above
+            # max(pinf, _FEAS_TOL) gives way to the centring direction,
+            # which keeps mu and only cuts the residuals
+            for dy, Rc in (corrector(sigma, dy_c, C), corrector(_MAX_SIGMA)):
                 dS, primal, moved = primal_step(dy, Rc)
                 if not moved or moved[0] <= max(pinf, _FEAS_TOL):
                     break
