@@ -58,12 +58,12 @@ class Construction:
     """A compiled model together with its witness recipes."""
 
     model: SdpModel
-    target: VarId | None
+    target: VarId
     recipes: list  # (VarId, recipe) pairs, as ModelBuilder.add_recipe takes them
     report_divisor: float = 1.0  # objective is divided by this on report
 
     @classmethod
-    def of(cls, b: ModelBuilder, target: VarId | None, **kw) -> "Construction":
+    def of(cls, b: ModelBuilder, target: VarId, **kw) -> "Construction":
         """The builder's frozen model and its recipes."""
         return cls(model=b.freeze(), target=target, recipes=list(b.recipes), **kw)
 
@@ -189,20 +189,18 @@ def _emit_epi(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T, t: Fraction):
 class GeoMeanTask:
     """What to compile: exponent, dimension and slot roles.
 
-    ``A``/``B`` are matrices (data) or None (free variables).  ``T`` is
-    None for a free target (with a trace objective) or a fixed matrix.
+    ``A``/``B`` are matrices (data) or None (free variables).
     """
 
     t: RationalExponent
     n: int
     A: np.ndarray | None = None
     B: np.ndarray | None = None
-    T: np.ndarray | None = None
 
 
 def build_geomean(task: GeoMeanTask) -> Construction:
     """The hypograph for t in [0, 1], maximizing tr T, or the epigraph for t
-    otherwise, minimizing it; with T given, only its constraints."""
+    otherwise, minimizing it."""
     b = ModelBuilder()
 
     def slot(role, name):
@@ -214,9 +212,6 @@ def build_geomean(task: GeoMeanTask) -> Construction:
     if A.dim != B.dim:
         raise DimensionMismatch("A and B must have equal dimensions")
     t = task.t
-    if task.T is not None:
-        emit(b, A, B, AffineBlock.constant(hermitize(task.T)), t)
-        return Construction.of(b, None)
     T = emit(b, A, B, None, t).terms[0].var
     sense = "maximize" if 0 <= t <= 1 else "minimize"
     b.set_objective(sense, LinearFunctional(0.0, [(T, np.eye(task.n))]))
@@ -236,14 +231,6 @@ class CensusReport:
     bound_big: int  # allowed number of 2n x 2n LMIs
     bound_small: int  # allowed number of n x n LMIs
     ok: bool
-
-    def __str__(self):
-        parts = census_text(self.census)
-        flag = "ok" if self.ok else "EXCEEDS BOUND"
-        return (
-            f"t={self.t} ({self.mode}, n={self.n}): {parts}; "
-            f"bound {self.bound_big} x 2n + {self.bound_small} x n [{flag}]"
-        )
 
 
 def census_text(census) -> str:

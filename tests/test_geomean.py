@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from tracelift.errors import WrongExponent
-from tracelift.geomean import GeoMeanTask, _emit_epi, _emit_hyp, build_geomean, lmi_census_audit
+from tracelift.geomean import GeoMeanTask, _emit_epi, _emit_hyp, build_geomean, emit, lmi_census_audit
 from tracelift.instances import random_pd
-from tracelift.kernel import RationalExponent, geometric_mean
-from tracelift.model import AffineBlock, ModelBuilder, check_feasible
+from tracelift.kernel import RationalExponent, geometric_mean, hermitize
+from tracelift.model import AffineBlock, ModelBuilder, WitnessAssignment, check_feasible
 from tracelift.solver import solve
 
 
@@ -100,14 +100,19 @@ class TestSolver:
 
 class TestDatumTarget:
     def test_fixed_target_feasibility(self, rng):
-        # With T pinned to the true mean the model is feasible; shifting T
-        # up in the hypograph direction breaks it.
-        texp = RationalExponent(1, 3)
+        # With T pinned to the true mean the constraints hold at the
+        # recipes' witness; shifting T up in the hypograph direction breaks
+        # them.
         A, B = random_pd(2, rng), random_pd(2, rng)
         G = geometric_mean(A, B, 1 / 3)
-        con = build_geomean(GeoMeanTask(texp, 2, A=A, B=B, T=G))
-        wit = con.make_witness()
-        assert check_feasible(con.model, wit, tol=1e-9).ok
-        con_bad = build_geomean(GeoMeanTask(texp, 2, A=A, B=B, T=G + 0.1 * np.eye(2)))
-        wit_bad = con_bad.make_witness()
-        assert not check_feasible(con_bad.model, wit_bad, tol=1e-9).ok
+
+        def feasible(T):
+            b = ModelBuilder()
+            emit(b, *(AffineBlock.constant(hermitize(M)) for M in (A, B, T)), Fraction(1, 3))
+            wit = WitnessAssignment()
+            for var, recipe in b.recipes:
+                wit[var] = recipe(wit)
+            return check_feasible(b.freeze(), wit, tol=1e-9).ok
+
+        assert feasible(G)
+        assert not feasible(G + 0.1 * np.eye(2))
