@@ -178,6 +178,18 @@ class TestMalformedMatrixFile:
         assert rc == 3
         assert str(bad) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"re": [[1.0, 0.0], [0.0', "cannot parse matrix file"),
+        ('{"re": [[1.0, "x"], [0.0, 1.0]]}', "could not convert"),
+    ], ids=["not-json", "non-numeric"])
+    def test_unreadable_exit_3(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = main(["eval", "--function", "geomean", "--t", "1/2", "--A", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(bad) in err and message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("doc", [
         {"re": [[float("nan"), 0.0], [0.0, 1.0]]},
         {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, float("inf")], [0.0, 0.0]]},
@@ -263,6 +275,10 @@ class TestArgumentChecks:
             main([extra[0], "--function", "geomean", "--t", "1/2", *extra[1:]])
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
+
+    def test_zero_denominator_exit_2(self, capsys):
+        assert main(["eval", "--function", "geomean", "--t", "1/0"]) == 2
+        assert "zero denominator" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["emit", "verify"])
     def test_geomean_sizes_differ_exit_2(self, command, tmp_path, capsys):

@@ -119,6 +119,15 @@ class TestParseErrors:
     def test_bad_objective_length(self, tmp_path):
         self.check(tmp_path, "2\n1\n2\n1.0\n", 4)
 
+    def test_ends_before_objective(self, tmp_path):
+        self.check(tmp_path, "1\n1\n", 2, "file ends before the objective row")
+
+    def test_two_integers_for_one(self, tmp_path):
+        self.check(tmp_path, "1\n1 2\n2\n1.0\n", 2, "expected 1 integers, got 2")
+
+    def test_non_numeric_objective(self, tmp_path):
+        self.check(tmp_path, "1\n1\n2\nx\n", 4, "bad objective entry in 'x'")
+
     def test_bad_entry_arity(self, tmp_path):
         self.check(tmp_path, "1\n1\n2\n1.0\n0 1 1 1\n", 5)
 
