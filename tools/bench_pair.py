@@ -18,7 +18,12 @@ Writes BENCH_<L>_parent.json (REV) and BENCH_<L>_change.json (HEAD). Each
 holds every run's metrics and their medians; each case's solver status and
 iterations (verify workloads) or SDPA bytes (emit), as seen in every round
 of every run; the Python and numpy versions and the CPU count; the seed;
-and the commit.
+and the commit. The change's file also holds, under ``pairs``, for each
+end-to-end metric of BENCHMARK.json: each pair's change/parent ratio, the
+ratios' median and quartiles, the pairs the change won (by the metric's
+``better``) and the parent's quartile spread (Q3 - Q1 of its runs). Both
+sides drift with the machine's load, so the ratios within pairs resolve
+more than the two sides' medians; they are printed on standard error too.
 """
 
 import argparse
@@ -77,6 +82,30 @@ def case_outcomes(runs) -> list:
     return out
 
 
+def pair_stats(runs) -> dict:
+    """Per end-to-end metric of BENCHMARK.json: the ratios change/parent of
+    each pair, their median and quartiles, the pairs the change won and the
+    parent's quartile spread."""
+    out = {}
+    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]:
+        name = metric["name"]
+        parent = [r["metrics"][name] for r in runs["parent"]]
+        change = [r["metrics"][name] for r in runs["change"]]
+        ratios = [c / p for c, p in zip(change, parent)]
+        q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+        p1, p3 = np.percentile(parent, [25, 75])
+        lower = metric["better"] == "lower"
+        out[name] = {
+            "ratios": ratios,
+            "ratio_median": median,
+            "ratio_quartiles": [q1, q3],
+            "won": sum(c < p if lower else c > p for c, p in zip(change, parent)),
+            "pairs": len(ratios),
+            "parent_spread": p3 - p1,
+        }
+    return out
+
+
 def side_doc(side, commit, runs, args) -> dict:
     metrics = list(runs[0]["metrics"])
     return {
@@ -132,9 +161,19 @@ def main(argv=None):
                       + ", ".join(f"{k} {v:.4g}" for k, v in run["metrics"].items()),
                       file=sys.stderr)
 
+    pairs = pair_stats(runs)
+    for name, st in pairs.items():
+        spread = st["parent_spread"] / statistics.median(r["metrics"][name] for r in runs["parent"])
+        print(f"{name}: ratio median {st['ratio_median']:.3f} "
+              f"[{st['ratio_quartiles'][0]:.3f}, {st['ratio_quartiles'][1]:.3f}], "
+              f"won {st['won']}/{st['pairs']}, parent spread {st['parent_spread']:.4g} "
+              f"({100 * spread:.1f} % of its median)", file=sys.stderr)
     for side, commit in commits.items():
+        doc = side_doc(side, commit, runs[side], args)
+        if side == "change":
+            doc["pairs"] = pairs
         path = ROOT / f"BENCH_{args.label}_{side}.json"
-        path.write_text(json.dumps(side_doc(side, commit, runs[side], args), indent=1) + "\n")
+        path.write_text(json.dumps(doc, indent=1) + "\n")
         print(f"wrote {path.name}")
     return 0
 
