@@ -71,8 +71,9 @@ _MIN_SIGMA = 1e-6
 _MAX_SIGMA = 0.999
 # solve's ladder of (start scale, step fraction) attempts: the first is
 # fastest, the others rescue instances that stall near the central path's
-# end.  The third rescues none of tools/sweep.py's hard set, but 5 of 80
-# lieb t = 2/3 solves at n = 2 (seeds 0-39, at one and two BLAS threads)
+# end.  The third rescues 2 of the 1200 solves of tools/sweep.py's hard
+# set (complex and real data) and 5 of the 80 of its lieb-2/3 panel (one
+# and two BLAS threads)
 _LADDER = ((10.0, 0.98), (1.0, 0.95), (100.0, 0.9))
 
 
