@@ -8,10 +8,11 @@ and the Kronecker power factors through one geodesic,
 
     A^{1-t} (x) conj(B)^t = (A (x) I) #_t (I (x) conj(B)).
 
-So Lieb's function, the Carlen-Lieb trace function, Tsallis entropies
-and Kronecker products of fractional powers all reduce to a single
-lifted hypograph/epigraph plus one scalar constraint, and fidelity is
-its own one-block LMI.
+So Lieb's function, the Carlen-Lieb trace function and Tsallis entropies
+reduce to a single lifted hypograph/epigraph plus one scalar constraint;
+Kronecker products of fractional powers, of two matrices or more, to one
+chain of lifted geodesics (`_kron_chain`); and fidelity is its own
+one-block LMI.
 """
 
 from __future__ import annotations
@@ -96,50 +97,41 @@ def build_lieb(K, A, B, t: RationalExponent) -> Construction:
 
 
 def build_kron_power(A, B, s, t) -> Construction:
-    """Model whose optimum is tr[A^s (x) B^t], s,t >= 0, 0 < s+t <= 1.
-
-    When s + t < 1 the deficit is absorbed by one extra geodesic
-    against the identity.
-    """
+    """Model whose optimum is tr[A^s (x) B^t], s,t >= 0, 0 < s+t <= 1:
+    the lifted Kronecker chain on (A, B) with weights (s, t)."""
     if s < 0 or t < 0 or not 0 < s + t <= 1:
         raise WrongExponent(f"need s,t >= 0 and 0 < s+t <= 1, got s={s}, t={t}")
-    A, B = hermitize(A), hermitize(B)
-    n, m = A.shape[0], B.shape[0]
-    LA = _lift_left(A, m)
-    LB = _lift_right(B, n, conjugate=False)
-    d = n * m
-    u = s + t
-    b = ModelBuilder()
-    if u == 1:
-        Tvar = _geodesic(b, "T", d, t, LA, LB)
-    else:
-        S = AffineBlock.of_var(_geodesic(b, "S", d, t / u, LA, LB))
-        Tvar = _geodesic(b, "T", d, u, AffineBlock.constant(np.eye(d)), S)
-    b.set_objective("maximize", LinearFunctional(0.0, [(Tvar, np.eye(d))]))
-    return Construction.of(b, Tvar)
+    return _kron_chain([A, B], [s, t])
 
 
 def build_multivariate(mats, weights) -> Construction:
-    """Model whose optimum is tr[A_1^{t_1} (x) ... (x) A_k^{t_k}].
-
-    ``weights`` are nonnegative rationals summing to 1; matrices are
-    eliminated left to right, one lifted geodesic per step.
-    """
+    """Model whose optimum is tr[A_1^{t_1} (x) ... (x) A_k^{t_k}], ``weights``
+    nonnegative rationals summing to 1: the lifted Kronecker chain."""
     _check_weights(weights, len(mats))
+    return _kron_chain(mats, weights)
+
+
+def _kron_chain(mats, weights) -> Construction:
+    """Model whose optimum is tr[A_1^{w_1} (x) ... (x) A_k^{w_k}], weights
+    w_i >= 0 with sum u in (0, 1]: one lifted geodesic per matrix after the
+    first, at exponent w_i / (w_1 + ... + w_i), or 0 while no weight has
+    come (the first weighted step, at exponent 1, discards its value); then,
+    when u < 1, one more, I #_u S."""
     mats = [hermitize(M) for M in mats]
     dims = [M.shape[0] for M in mats]
-    acc = weights[0]
+    u, acc = sum(weights), Fraction(weights[0])
     b = ModelBuilder()
     for i in range(1, len(mats)):
-        d_left, d_right = int(np.prod(dims[: i + 1])), dims[i]
+        d, m = int(np.prod(dims[: i + 1])), dims[i]
         acc += weights[i]
-        w = weights[i] / acc
         # the first matrix, then the last geodesic, lifted by (x) I
-        LA = (_lift_left(mats[0], d_right) if i == 1
-              else AffineBlock.of_var(Tvar, kr=np.eye(d_right)))
-        LB = _lift_right(mats[i], d_left // d_right, conjugate=False)
-        Tvar = _geodesic(b, "S" if i < len(mats) - 1 else "T", d_left, w, LA, LB)
-    b.set_objective("maximize", LinearFunctional(0.0, [(Tvar, np.eye(d_left))]))
+        LA = _lift_left(mats[0], m) if i == 1 else AffineBlock.of_var(Tvar, kr=np.eye(m))
+        LB = _lift_right(mats[i], d // m, conjugate=False)
+        letter = "T" if i == len(mats) - 1 and u == 1 else "S"
+        Tvar = _geodesic(b, letter, d, weights[i] / acc if acc else acc, LA, LB)
+    if u < 1:
+        Tvar = _geodesic(b, "T", d, u, AffineBlock.constant(np.eye(d)), AffineBlock.of_var(Tvar))
+    b.set_objective("maximize", LinearFunctional(0.0, [(Tvar, np.eye(d))]))
     return Construction.of(b, Tvar)
 
 

@@ -113,6 +113,11 @@ class TestVerify:
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_leading_zero_weights(self, capsys):
+        rc = main(["verify", "--function", "multivariate", "--weights", "0,0,1", "--trials", "1"])
+        assert rc == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_status_of_a_failed_trial(self, capsys, monkeypatch):
         # a trial that fails for want of an optimal solve says how it ended
         solve = cli.solve

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tracelift.errors import WrongExponent
-from tracelift.instances import FUNCTIONS, random_density, random_matrix, random_pd
+from tracelift.instances import FUNCTIONS, _kron_trace, random_density, random_matrix, random_pd
 from tracelift.kernel import (
     RationalExponent,
     fidelity_value,
@@ -127,6 +127,19 @@ class TestMultivariate:
                  herm_power(mats[2], 0.5))
         ).real
         assert _rel(_report(con, wit), want) < 1e-9
+
+    @pytest.mark.parametrize(("weights", "dims"), [
+        ((0, 0, 1), (2, 2, 2)), ((0, 0, Fraction(1, 2), Fraction(1, 2)), (2, 2, 1, 2))])
+    def test_leading_zero_weights(self, weights, dims, rng):
+        # the chain's steps before the first weight take exponent 0; a 1 x 1
+        # third matrix keeps the four-factor model small enough to solve fast
+        mats = [random_pd(d, rng) for d in dims]
+        weights = [Fraction(w) for w in weights]
+        con = build_multivariate(mats, weights)
+        assert check_feasible(con.model, con.make_witness(), tol=1e-9).ok
+        res = solve(con.model)
+        assert res.ok, res.status
+        assert _rel(res.objective, _kron_trace(mats, weights)) < 1e-6
 
 
 class TestTsallis:
