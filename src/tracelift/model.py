@@ -666,8 +666,10 @@ def canonical(model: SdpModel):
     holds (G0, idx, s, p, v) per block: each LMI's `Slices` in model order,
     with ``idx`` the model coordinate of each slice, then the 1x1 slices of
     each scalar constraint.  ``offsets`` maps each variable to its first
-    coordinate."""
+    coordinate.  A model with no LMI and no scalar constraint raises."""
     obj = model.require_objective()
+    if not model.lmis and not model.scalars:
+        raise TraceliftError("the model has no constraint")
     offsets, m = model.coord_offsets()
     sign = -1.0 if obj.sense == "minimize" else 1.0
     blocks = []

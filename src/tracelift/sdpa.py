@@ -60,6 +60,8 @@ def export_sdpa(model: SdpModel, path) -> None:
     if not model.realified:
         raise NotRealified("export requires a realified model")
     b, constant, blocks, _ = canonical(model)
+    if not len(b):
+        raise TraceliftError("the model has no variable, which SDPA cannot hold")
     if not all(np.isfinite(a).all() for a in [b, constant] + [a for G0, *_, v in blocks for a in (G0, v)]):
         raise TraceliftError("the model holds a non-finite number, which SDPA cannot hold")
     nl = len(model.lmis)
@@ -79,7 +81,7 @@ def export_sdpa(model: SdpModel, path) -> None:
         parts.append((idx[s[up]] + 1, np.full(up.sum(), bno), i[up] + r + 1, j[up] + r + 1,
                       _real_or_raise(v[up], f"block {bno}")))
     # group by matrix number, keeping block order and row-major order within
-    ents = [np.concatenate(col) for col in zip(*parts)] if parts else [np.zeros(0)] * 5
+    ents = [np.concatenate(col) for col in zip(*parts)]
     order = np.argsort(ents[0], kind="stable")
 
     # SDPA minimizes c'x + K with c = -b and K = -constant
@@ -95,42 +97,32 @@ def export_sdpa(model: SdpModel, path) -> None:
         raise IoError(str(exc))
 
 
-def _columns(ents):
-    """(matno, blk, i, j, val) columns of split 5-field entry lines; raises
-    ValueError where a field does not convert."""
-    if not ents:
-        return [np.zeros(0, dtype=int)] * 4 + [np.zeros(0)]
-    cols = list(zip(*ents))
-    return [np.array(list(map(int, col))) for col in cols[:4]] + [np.array(list(map(float, cols[4])))]
-
-
-def _converts(fields) -> bool:
-    try:
-        _columns([fields])
-    except ValueError:
-        return False
-    return True
-
-
 def _read_entries(rows, m, sizes):
     """The checked (matno, block, i, j, val) columns of the entry lines,
     block, i and j counted from 0.
 
-    The checks run on whole columns, yet the first line that fails any of
-    them raises, with the first check it fails in the order below, as
-    checking line by line would: lines are split, then converted, then
-    checked by value, and a second entry at one position is a fault.
+    One pass splits and converts the lines, and stops at the first line
+    that does not split into 5 fields or does not convert.  The checks by
+    value then run on whole columns of the lines before it, yet the first
+    line that fails any check raises, with the first check it fails in the
+    order below, as checking line by line would; a second entry at one
+    position is a fault.
     """
-    ents = [text.split() for _, text in rows]
-    n, fault = len(ents), None  # the leading lines that split and convert, and the fault after them
-    short = next((p for p, e in enumerate(ents) if len(e) != 5), None)
-    if short is not None:
-        n, fault = short, "entry line needs 5 fields, got {text!r}"
-    try:
-        matno, blk, i, j, val = _columns(ents[:n])
-    except ValueError:
-        n, fault = next(p for p in range(n) if not _converts(ents[p])), "bad entry line {text!r}"
-        matno, blk, i, j, val = _columns(ents[:n])
+    ents, fault = [], None  # the fields of the good leading lines, five a line; the fault after them
+    for _, text in rows:
+        try:
+            matno, blk, i, j, val = text.split()
+        except ValueError:
+            fault = "entry line needs 5 fields, got {text!r}"
+            break
+        try:
+            ents.extend((int(matno), int(blk), int(i), int(j), float(val)))
+        except ValueError:
+            fault = "bad entry line {text!r}"
+            break
+    n = len(ents) // 5
+    matno, blk, i, j, val = ([np.array(ents[k::5]) for k in range(5)] if ents
+                             else [np.zeros(0, dtype=int)] * 4 + [np.zeros(0)])
     nb = len(sizes)
     b = np.where((1 <= blk) & (blk <= nb), blk - 1, nb).astype(int)  # a bad block reads size 0
     size = np.array(sizes + [0])[b]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tracelift.errors import MissingAssignment, NoObjective
+from tracelift.errors import MissingAssignment, NoObjective, TraceliftError
 from tracelift.geomean import GeoMeanTask, build_geomean
 from tracelift.instances import random_pd
 from tracelift.kernel import RationalExponent
@@ -261,6 +261,34 @@ class TestHeldSlices:
         X = random_pd(2, rng, complex_=False)
         c = var_coords(x, X)
         assert f.evaluate({x: X}) == 1.5 + (np.array([2.0, -1.0]) * c[[0, 2]]).sum()
+
+
+class TestUnconstrained:
+    """Models that SDPA cannot hold, and a solve with no constraint: each
+    raises before it writes or solves anything."""
+
+    def test_export_without_variable(self, tmp_path):
+        b = ModelBuilder()
+        b.add_lmi([[AffineBlock.constant(np.eye(2))]])
+        b.set_objective("maximize", LinearFunctional(1.0, []))
+        with pytest.raises(TraceliftError, match="no variable"):
+            export_sdpa(realify(b.freeze())[0], tmp_path / "m.dat-s")
+        assert not (tmp_path / "m.dat-s").exists()
+
+    def test_export_without_constraint(self, tmp_path):
+        b = ModelBuilder()
+        x = b.fresh_var("x", 1, kind="real")
+        b.set_objective("maximize", LinearFunctional(0.0, [(x, np.eye(1))]))
+        with pytest.raises(TraceliftError, match="no constraint"):
+            export_sdpa(realify(b.freeze())[0], tmp_path / "m.dat-s")
+        assert not (tmp_path / "m.dat-s").exists()
+
+    def test_solve_without_constraint(self):
+        b = ModelBuilder()
+        x = b.fresh_var("x", 1, kind="real")
+        b.set_objective("minimize", LinearFunctional(0.0, [(x, np.eye(1))]))
+        with pytest.raises(TraceliftError, match="no constraint"):
+            solve(b.freeze())
 
 
 class TestSchurEquivalence:
