@@ -118,12 +118,11 @@ def _kron_chain(mats, weights) -> Construction:
     come (the first weighted step, at exponent 1, discards its value); then,
     when u < 1, one more, I #_u S."""
     mats = [hermitize(M) for M in mats]
-    dims = [M.shape[0] for M in mats]
-    u, acc = sum(weights), Fraction(weights[0])
+    u, acc, d = sum(weights), Fraction(weights[0]), len(mats[0])
     b = ModelBuilder()
     for i in range(1, len(mats)):
-        d, m = int(np.prod(dims[: i + 1])), dims[i]
-        acc += weights[i]
+        m = len(mats[i])
+        d, acc = d * m, acc + weights[i]
         # the first matrix, then the last geodesic, lifted by (x) I
         LA = _lift_left(mats[0], m) if i == 1 else AffineBlock.of_var(Tvar, kr=np.eye(m))
         LB = _lift_right(mats[i], d // m, conjugate=False)
