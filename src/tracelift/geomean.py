@@ -93,92 +93,86 @@ def _fresh_target(b: ModelBuilder, letter: str, dim: int, t: Fraction, A, B) -> 
     return AffineBlock.of_var(var)
 
 
-def emit(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T, t: Fraction):
+def _geodesic(b: ModelBuilder, T: VarId, t: Fraction, A: AffineBlock, B: AffineBlock):
+    """Put the caller's variable T on the geodesic A #_t B: its witness
+    recipe, then the LMIs of `emit` that bound it."""
+    b.add_recipe(T, on_geodesic(t, A, B))
+    emit(b, A, B, AffineBlock.of_var(T), t)
+
+
+def emit(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T: AffineBlock, t: Fraction):
     """Emit LMIs forcing (A, B, T) into the hypograph of the geodesic for t
-    in [0, 1], else into its epigraph; returns the target block, as
-    `_emit_hyp` and `_emit_epi` do.  A t that is not rational raises WrongExponent."""
+    in [0, 1], else into its epigraph.  A t that is not rational raises
+    WrongExponent."""
     if not isinstance(t, Rational):
         raise WrongExponent(f"exponent must be rational, got {t!r}")
-    return (_emit_hyp if 0 <= t <= 1 else _emit_epi)(b, A, B, T, t)
+    (_emit_hyp if 0 <= t <= 1 else _emit_epi)(b, A, B, T, t)
 
 
-def _emit_hyp(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T, t: Fraction):
-    """Emit LMIs forcing (A, B, T) into hyp_t; returns the target block.
-
-    ``T`` may be None (a fresh variable is created, with its witness
-    recipe) or an existing block.
-    """
-    n = A.dim
+def _emit_hyp(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T: AffineBlock, t: Fraction):
+    """Emit LMIs forcing (A, B, T) into hyp_t."""
     if not 0 <= t <= 1:
         raise WrongExponent(f"hypograph requires t in [0,1], got {t}")
     if t == 0 or t == 1:
-        if T is None:
-            T = _fresh_target(b, "T", n, t, A, B)
-        corner = A if t == 0 else B
-        b.add_lmi([[corner - T]], label=f"hyp endpoint t={t}")
-        return T
+        b.add_lmi([[(A if t == 0 else B) - T]], label=f"hyp endpoint t={t}")
+        return
     p, q = t.numerator, t.denominator
     if is_power_of_two(q):
-        return _emit_dyadic(b, A, B, T, t)
-    if t >= Fraction(1, 2) and is_power_of_two(p):
-        return _emit_pow2_numerator(b, A, B, T, t)
-    if t < Fraction(1, 2):
+        _emit_dyadic(b, A, B, T, t)
+    elif t >= Fraction(1, 2) and is_power_of_two(p):
+        b.add_lmi([[_pow2_bound(b, A, B, t) - T]], label=f"pow2 cap {t}")
+    elif t < Fraction(1, 2):
         ell = floor_log2(q)
         s_in = Fraction(2**ell, q)
-        s_out = Fraction(p, 2**ell)
-        Z = _emit_hyp(b, A, B, None, s_in)
-        return _emit_hyp(b, A, Z, T, s_out)
-    return _emit_hyp(b, B, A, T, 1 - t)
+        W = _pow2_bound(b, A, B, s_in)
+        Z = _fresh_target(b, "T", A.dim, s_in, A, B)
+        b.add_lmi([[W - Z]], label=f"pow2 cap {s_in}")
+        _emit_hyp(b, A, Z, T, Fraction(p, 2**ell))
+    else:
+        _emit_hyp(b, B, A, T, 1 - t)
 
 
-def _emit_dyadic(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T, t: Fraction):
-    n = A.dim
+def _emit_dyadic(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T: AffineBlock, t: Fraction):
     p, q = t.numerator, t.denominator
     ell = floor_log2(q)
     bits = binary_expansion(p, ell)
     chain = []
     for i in range(1, ell):
         ti = Fraction(p % (1 << i), 1 << i)
-        chain.append(_fresh_target(b, "Z", n, ti, A, B))
-    if T is None:
-        T = _fresh_target(b, "Z" if ell > 1 else "T", n, t, A, B)
+        chain.append(_fresh_target(b, "Z", A.dim, ti, A, B))
     chain.append(T)
     b.add_lmi2(A, chain[0], B, label=f"dyadic base {t}")
     for i in range(2, ell + 1):
         corner = B if bits[i - 1] else A
         b.add_lmi2(corner, chain[i - 1], chain[i - 2], label=f"dyadic step {i} of {t}")
-    return T
 
 
-def _emit_pow2_numerator(b: ModelBuilder, A, B, T, t: Fraction):
+def _pow2_bound(b: ModelBuilder, A: AffineBlock, B: AffineBlock, t: Fraction) -> AffineBlock:
+    """A fresh W in hyp_t of (A, B), t = 2^l/q in (1/2, 1): its recipe and
+    its LMIs, the dyadic hypograph of (A, W) at (2^{l+1}-q)/2^l plus
+    [[Z, W], [W, B]] >= 0; returns W, which the caller caps."""
     n = A.dim
     p, q = t.numerator, t.denominator
     ell = floor_log2(p)
     s = Fraction(2 ** (ell + 1) - q, 2**ell)
     W = _fresh_target(b, "W", n, t, A, B)
-    Z = _emit_dyadic(b, A, W, None, s)
+    Z = _fresh_target(b, "Z" if ell > 1 else "T", n, s, A, W)
+    _emit_dyadic(b, A, W, Z, s)
     b.add_lmi2(Z, W, B, label=f"pow2 glue {t}")
-    if T is None:
-        T = _fresh_target(b, "T", n, t, A, B)
-    b.add_lmi([[W - T]], label=f"pow2 cap {t}")
-    return T
+    return W
 
 
-def _emit_epi(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T, t: Fraction):
-    """Emit LMIs forcing (A, B, T) into epi_t for t in [-1,0) u (1,2];
-    returns the target block.  `emit` compiles the endpoints t = 0 and 1 as
-    hypographs."""
-    n = A.dim
+def _emit_epi(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T: AffineBlock, t: Fraction):
+    """Emit LMIs forcing (A, B, T) into epi_t for t in [-1,0) u (1,2].
+    `emit` compiles the endpoints t = 0 and 1 as hypographs."""
     if not (-1 <= t < 0 or 1 < t <= 2):
         raise WrongExponent(f"epigraph requires t in [-1,0) u (1,2], got {t}")
     if t < 0:
-        S = _fresh_target(b, "S", n, -t, A, B)
+        S = _fresh_target(b, "S", A.dim, -t, A, B)
         _emit_hyp(b, A, B, S, -t)
-        if T is None:
-            T = _fresh_target(b, "T", n, t, A, B)
         b.add_lmi([[T, A], [A.adjoint(), S]], label=f"epi flip {t}")
-        return T
-    return _emit_epi(b, B, A, T, 1 - t)
+    else:
+        _emit_epi(b, B, A, T, 1 - t)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +206,8 @@ def build_geomean(task: GeoMeanTask) -> Construction:
     if A.dim != B.dim:
         raise DimensionMismatch("A and B must have equal dimensions")
     t = task.t
-    T = emit(b, A, B, None, t).terms[0].var
+    T = b.fresh_var("T", task.n)
+    _geodesic(b, T, t, A, B)
     sense = "maximize" if 0 <= t <= 1 else "minimize"
     b.set_objective(sense, LinearFunctional(0.0, [(T, np.eye(task.n))]))
     return Construction.of(b, T)

@@ -23,7 +23,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, WrongExponent
-from .geomean import Construction, _fresh_target, emit, on_geodesic
+from .geomean import Construction, _geodesic
 from .kernel import RationalExponent, herm_power, hermitize, kron, vec_rows
 from .model import AffineBlock, LinearFunctional, ModelBuilder, VarId, WitnessAssignment
 
@@ -39,14 +39,6 @@ def _lift_right(M: np.ndarray, n: int, conjugate: bool = True) -> AffineBlock:
     return AffineBlock.constant(kron(np.eye(n), R))
 
 
-def _geodesic(b: ModelBuilder, letter: str, dim: int, t: Fraction, A, B) -> VarId:
-    """A fresh variable on the geodesic A #_t B: its witness recipe and the
-    LMIs of `emit` that bound it."""
-    T = _fresh_target(b, letter, dim, t, A, B)
-    emit(b, A, B, T, t)
-    return T.terms[0].var
-
-
 def _rank_one_bound(b: ModelBuilder, T: VarId, t: Fraction, P, Q, name: str, weight: float,
                     constant: float, terms, concave: bool):
     """Put the caller's T on the geodesic P #_t Q (its witness recipe and
@@ -55,8 +47,7 @@ def _rank_one_bound(b: ModelBuilder, T: VarId, t: Fraction, P, Q, name: str, wei
     bound - weight * tau >= 0 with tau maximized in the concave range, else
     -f >= 0 with tau minimized.  tau's recipe makes the bound tight:
     tau = f / weight at tau = 0."""
-    b.add_recipe(T, on_geodesic(t, P, Q))
-    emit(b, P, Q, AffineBlock.of_var(T), t)
+    _geodesic(b, T, t, P, Q)
     tau = b.fresh_var(name, 1, kind="real")
     terms = [*terms, (tau, -weight * np.eye(1))]
     if not concave:  # 0.0 - c rather than -c keeps a zero constant +0.0
@@ -126,10 +117,11 @@ def _kron_chain(mats, weights) -> Construction:
         # the first matrix, then the last geodesic, lifted by (x) I
         LA = _lift_left(mats[0], m) if i == 1 else AffineBlock.of_var(Tvar, kr=np.eye(m))
         LB = _lift_right(mats[i], d // m, conjugate=False)
-        letter = "T" if i == len(mats) - 1 and u == 1 else "S"
-        Tvar = _geodesic(b, letter, d, weights[i] / acc if acc else acc, LA, LB)
+        Tvar = b.fresh_var("T" if i == len(mats) - 1 and u == 1 else "S", d)
+        _geodesic(b, Tvar, weights[i] / acc if acc else acc, LA, LB)
     if u < 1:
-        Tvar = _geodesic(b, "T", d, u, AffineBlock.constant(np.eye(d)), AffineBlock.of_var(Tvar))
+        S, Tvar = AffineBlock.of_var(Tvar), b.fresh_var("T", d)
+        _geodesic(b, Tvar, u, AffineBlock.constant(np.eye(d)), S)
     b.set_objective("maximize", LinearFunctional(0.0, [(Tvar, np.eye(d))]))
     return Construction.of(b, Tvar)
 
@@ -153,7 +145,8 @@ def build_tsallis_entropy(A, t: RationalExponent) -> Construction:
     A = hermitize(A)
     n = A.shape[0]
     b = ModelBuilder()
-    Tvar = _geodesic(b, "T", n, t, AffineBlock.constant(A), AffineBlock.constant(np.eye(n)))
+    Tvar = b.fresh_var("T", n)
+    _geodesic(b, Tvar, t, AffineBlock.constant(A), AffineBlock.constant(np.eye(n)))
     ct = float(t)
     b.set_objective(
         "maximize",

@@ -57,12 +57,12 @@ class TestModeValidation:
     def test_hyp_rejects_negative(self):
         eye = AffineBlock.constant(np.eye(2))
         with pytest.raises(WrongExponent):
-            _emit_hyp(ModelBuilder(), eye, eye, None, Fraction(-1, 2))
+            _emit_hyp(ModelBuilder(), eye, eye, eye, Fraction(-1, 2))
 
     def test_epi_rejects_interior(self):
         eye = AffineBlock.constant(np.eye(2))
         with pytest.raises(WrongExponent):
-            _emit_epi(ModelBuilder(), eye, eye, None, Fraction(1, 3))
+            _emit_epi(ModelBuilder(), eye, eye, eye, Fraction(1, 3))
 
     def test_out_of_range(self):
         from tracelift.errors import DomainError
