@@ -29,6 +29,7 @@ from .kernel import (
     upsilon_value,
 )
 from .lieb import (
+    _check_exponents,
     _check_weights,
     build_fidelity,
     build_kron_power,
@@ -145,6 +146,7 @@ FUNCTIONS = {
     "kron_power": Function(
         ("A", "B"), ("A", "B", "s", "t"), build_kron_power,
         lambda A, B, s, t: _kron_trace([A, B], [s, t]),
+        check=lambda p, given: _check_exponents(p["s"], p["t"]),
     ),
     "multivariate": Function(
         ("mats",), ("mats", "weights"), build_multivariate, _kron_trace,

@@ -90,9 +90,14 @@ def build_lieb(K, A, B, t: RationalExponent) -> Construction:
 def build_kron_power(A, B, s, t) -> Construction:
     """Model whose optimum is tr[A^s (x) B^t], s,t >= 0, 0 < s+t <= 1:
     the lifted Kronecker chain on (A, B) with weights (s, t)."""
+    _check_exponents(s, t)
+    return _kron_chain([A, B], [s, t])
+
+
+def _check_exponents(s, t):
+    """Raise unless s, t >= 0 and 0 < s + t <= 1."""
     if s < 0 or t < 0 or not 0 < s + t <= 1:
         raise WrongExponent(f"need s,t >= 0 and 0 < s+t <= 1, got s={s}, t={t}")
-    return _kron_chain([A, B], [s, t])
 
 
 def build_multivariate(mats, weights) -> Construction:

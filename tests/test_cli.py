@@ -295,6 +295,16 @@ class TestArgumentChecks:
         assert "A and B must have equal dimensions" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "emit", "verify"])
+    def test_kron_power_exponents_exit_2(self, command, tmp_path, capsys):
+        # checked before any subcommand runs, so verify prints no table
+        out = tmp_path / "m.dat-s"
+        extra = {"eval": [], "emit": ["--out", str(out)], "verify": ["--trials", "1"]}[command]
+        assert main([command, "--function", "kron_power", "--s", "1", "--t", "1/2", *extra]) == 2
+        stdout, err = capsys.readouterr()
+        assert "need s,t >= 0 and 0 < s+t <= 1" in err
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "emit", "verify"])
     @pytest.mark.parametrize("weights, files", [
         ("1/2,1/4,1/4", True), ("1/2,1/2,1/2", True), ("1/2,1/2,1/2", False), ("3/2,-1/2", False),
         ("0.5,0.5", False),
