@@ -110,20 +110,25 @@ def build_multivariate(mats, weights) -> Construction:
 def _kron_chain(mats, weights) -> Construction:
     """Model whose optimum is tr[A_1^{w_1} (x) ... (x) A_k^{w_k}], weights
     w_i >= 0 with sum u in (0, 1]: one lifted geodesic per matrix after the
-    first, at exponent w_i / (w_1 + ... + w_i), or 0 while no weight has
-    come (the first weighted step, at exponent 1, discards its value); then,
-    when u < 1, one more, I #_u S."""
+    first, at exponent w_i / (w_1 + ... + w_i), none while that sum is 0;
+    then, when u < 1, one more, I #_u S."""
     mats = [hermitize(M) for M in mats]
     u, acc, d = sum(weights), Fraction(weights[0]), len(mats[0])
-    b = ModelBuilder()
+    b, Tvar = ModelBuilder(), None
     for i in range(1, len(mats)):
         m = len(mats[i])
         d, acc = d * m, acc + weights[i]
-        # the first matrix, then the last geodesic, lifted by (x) I
-        LA = _lift_left(mats[0], m) if i == 1 else AffineBlock.of_var(Tvar, kr=np.eye(m))
+        if not acc:
+            continue
+        # the last geodesic lifted by (x) I; before it, the first matrix, or
+        # the identity after zero weights (at exponent 1 it only sets the size)
+        if Tvar is None:
+            LA = _lift_left(mats[0] if i == 1 else np.eye(d // m), m)
+        else:
+            LA = AffineBlock.of_var(Tvar, kr=np.eye(m))
         LB = _lift_right(mats[i], d // m, conjugate=False)
         Tvar = b.fresh_var("T" if i == len(mats) - 1 and u == 1 else "S", d)
-        _geodesic(b, Tvar, weights[i] / acc if acc else acc, LA, LB)
+        _geodesic(b, Tvar, weights[i] / acc, LA, LB)
     if u < 1:
         S, Tvar = AffineBlock.of_var(Tvar), b.fresh_var("T", d)
         _geodesic(b, Tvar, u, AffineBlock.constant(np.eye(d)), S)
