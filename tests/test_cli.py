@@ -8,6 +8,7 @@ import pytest
 
 from tracelift import cli
 from tracelift.cli import main, save_matrix
+from tracelift.errors import IoError
 from tracelift.instances import FUNCTIONS, random_pd
 from tracelift.sdpa import import_sdpa
 
@@ -76,6 +77,11 @@ class TestEmit:
                    "--B", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "m.dat-s")])
         assert rc == 3
+
+    def test_out_in_missing_directory_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "m.dat-s"
+        assert main(["emit", "--function", "geomean", "--t", "1/2", "--out", str(out)]) == 3
+        assert "No such file or directory" in capsys.readouterr().err
 
 
 class TestEval:
@@ -166,6 +172,10 @@ class TestMatrixIo:
         back = load_matrix(path)
         assert np.abs(back - M).max() < 1e-15
 
+    def test_save_into_missing_directory(self, tmp_path):
+        with pytest.raises(IoError, match="cannot write matrix file"):
+            save_matrix(np.eye(2), tmp_path / "nodir" / "m.json")
+
 
 class TestMalformedMatrixFile:
     @pytest.mark.parametrize("doc", [
@@ -252,6 +262,44 @@ class TestNearOverflow:
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert main(["emit", *argv, "--out", str(out)]) == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDomainChecks:
+    # data or exponents outside a function's domain: eval exits 2 with the
+    # oracle's message and emit with the builder's, and emit writes nothing
+    CASES = [
+        ("eval", "lieb", "--t 1/2 --K K32 --A A2 --B A2", "K has shape (3, 2), expected (2, 2)"),
+        ("emit", "lieb", "--t 1/2 --K K32 --A A2 --B A2", "K must be 2 x 2, got (3, 2)"),
+        ("eval", "geomean", "--t 1/2 --A A2 --B B3", "shapes (2, 2) and (3, 3) differ"),
+        ("eval", "fidelity", "--A A2 --B B3", "shapes (2, 2) and (3, 3) differ"),
+        ("emit", "fidelity", "--A A2 --B B3", "A and B must have equal dimensions"),
+        ("eval", "tsallis_rel", "--t 1/2 --A A2 --B B3", "shapes (2, 2) and (3, 3) differ"),
+        ("emit", "tsallis_rel", "--t 1/2 --A A2 --B B3", "A and B must have equal dimensions"),
+        ("eval", "upsilon", "--t 1/2 --K K32 --A A2", "K has 3 rows, A is 2 x 2"),
+        ("emit", "upsilon", "--t 1/2 --K K32 --A A2", "A must be 3 x 3, got (2, 2)"),
+        ("eval", "upsilon", "--t 0 --K K32 --A A2", "t = 0 is not in the domain"),
+        ("emit", "upsilon", "--t 0 --K K32 --A A2", "Upsilon is undefined at t = 0"),
+        ("eval", "tsallis", "--t -1/2", "Tsallis parameter t=-1/2 outside (0, 1]"),
+        ("emit", "tsallis", "--t -1/2", "Tsallis entropy requires t in (0,1], got -1/2"),
+        ("eval", "tsallis_rel", "--t -1/2", "Tsallis parameter t=-1/2 outside (0, 1]"),
+        ("emit", "tsallis_rel", "--t -1/2", "Tsallis relative entropy requires t in (0,1], got -1/2"),
+    ]
+
+    @pytest.mark.parametrize("command, function, args, message", CASES,
+                             ids=[f"{c}-{f}-{'t=0' if '--t 0' in a else 't<0' if '-1/2' in a else 'shape'}"
+                                  for c, f, a, _ in CASES])
+    def test_exit_2(self, command, function, args, message, tmp_path, capsys):
+        files = {}
+        for name, M in (("A2", np.eye(2)), ("B3", np.eye(3)), ("K32", np.ones((3, 2)))):
+            files[name] = str(tmp_path / f"{name}.json")
+            save_matrix(M, files[name])
+        out = tmp_path / "m.dat-s"
+        extra = ["--out", str(out)] if command == "emit" else []
+        argv = [command, "--function", function, *(files.get(a, a) for a in args.split()), *extra]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not out.exists()
 
 

@@ -1,9 +1,11 @@
 """Symbolic model layer: blocks, constraints, feasibility, realification."""
 
+import re
+
 import numpy as np
 import pytest
 
-from tracelift.errors import MissingAssignment, NoObjective, TraceliftError
+from tracelift.errors import DimensionMismatch, MissingAssignment, NoObjective, TraceliftError
 from tracelift.geomean import GeoMeanTask, build_geomean
 from tracelift.instances import random_pd
 from tracelift.kernel import RationalExponent
@@ -14,9 +16,12 @@ from tracelift.model import (
     LinearFunctional,
     LmiConstraint,
     ModelBuilder,
+    SdpModel,
     Slices,
     VarId,
+    VarTerm,
     WitnessAssignment,
+    as_matrix,
     canonical,
     check_feasible,
     embed_witness,
@@ -84,6 +89,38 @@ class TestPhi:
             assert c.shape == (len(var_basis(v)),)
             back = sum(ck * E for ck, E in zip(c, var_basis(v)))
             assert np.abs(back - value).max() < 1e-12
+
+
+_X, _C = VarId(0, 2, "X"), AffineBlock.constant(np.eye(2))
+
+
+class TestRejectedInput:
+    # each malformed input raises its own class: DimensionMismatch for a
+    # size that does not fit, the base TraceliftError for the rest
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: VarTerm(_X, kl=np.eye(2), kr=np.eye(2)), TraceliftError, "one Kronecker factor"),
+        (lambda: VarTerm(_X, op="T"), TraceliftError, "unknown op"),
+        (lambda: AffineBlock(3, [VarTerm(_X)]), DimensionMismatch, "term of dim 2 in block of dim 3"),
+        (lambda: LmiConstraint([[_C, _C]]), DimensionMismatch, "1x1 or 2x2"),
+        (lambda: LmiConstraint([[_C, _C], [_C, AffineBlock.constant(np.eye(3))]]),
+         DimensionMismatch, "share one dimension"),
+        (lambda: SdpModel([_X, VarId(0, 3, "Y")], []), TraceliftError, "indices must be unique"),
+        (lambda: var_basis(VarId(0, 2, "Y", "quaternion")), TraceliftError, "unknown variable kind"),
+        (lambda: var_basis(VarId(0, 3, "Y", "phi")), DimensionMismatch, "even dimension"),
+        (lambda: as_matrix(np.eye(3), 2), DimensionMismatch, "shape (3, 3), expected (2, 2)"),
+    ], ids=["two-factors", "unknown-op", "term-size", "grid-1x2", "grid-sizes", "one-index",
+            "unknown-kind", "odd-phi", "value-shape"])
+    def test_raises(self, make, error, message):
+        with pytest.raises(TraceliftError, match=re.escape(message)) as exc:
+            make()
+        assert type(exc.value) is error
+
+    def test_non_hermitian_grid(self):
+        skew = AffineBlock.constant(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        model = SdpModel([_X], [LmiConstraint([[skew]], label="skew")])
+        with pytest.raises(TraceliftError, match="LMI skew evaluates to a non-Hermitian matrix") as exc:
+            check_feasible(model, WitnessAssignment({_X: np.eye(2)}))
+        assert type(exc.value) is TraceliftError
 
 
 class TestCheckFeasible:

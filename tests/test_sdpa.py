@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tracelift.errors import ComplexDataError, NotRealified, SdpaParseError
+from tracelift.errors import ComplexDataError, IoError, NotRealified, SdpaParseError
 from tracelift.geomean import GeoMeanTask, build_geomean
 from tracelift.instances import random_matrix, random_pd
 from tracelift.kernel import RationalExponent, tsallis_entropy
@@ -109,6 +109,10 @@ class TestParseErrors:
         assert exc.value.line_no == line_no
         if message is not None:
             assert str(exc.value).startswith(f"line {line_no}: {message}")
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(IoError, match="No such file"):
+            import_sdpa(tmp_path / "nope.dat-s")
 
     def test_bad_m(self, tmp_path):
         self.check(tmp_path, "x\n1\n2\n1.0\n", 1)
