@@ -114,18 +114,15 @@ def _kron_chain(mats, weights) -> Construction:
     then, when u < 1, one more, I #_u S."""
     mats = [hermitize(M) for M in mats]
     u, acc, d = sum(weights), Fraction(weights[0]), len(mats[0])
-    b, Tvar = ModelBuilder(), None
+    b, Tvar, first = ModelBuilder(), None, mats[0]
     for i in range(1, len(mats)):
         m = len(mats[i])
         d, acc = d * m, acc + weights[i]
-        if not acc:
+        if not acc:  # the first weighted step has exponent 1: I only sets its size
+            first = np.eye(d)
             continue
-        # the last geodesic lifted by (x) I; before it, the first matrix, or
-        # the identity after zero weights (at exponent 1 it only sets the size)
-        if Tvar is None:
-            LA = _lift_left(mats[0] if i == 1 else np.eye(d // m), m)
-        else:
-            LA = AffineBlock.of_var(Tvar, kr=np.eye(m))
+        # the first matrix (or I), then the last geodesic, lifted by (x) I
+        LA = _lift_left(first, m) if Tvar is None else AffineBlock.of_var(Tvar, kr=np.eye(m))
         LB = _lift_right(mats[i], d // m, conjugate=False)
         Tvar = b.fresh_var("T" if i == len(mats) - 1 and u == 1 else "S", d)
         _geodesic(b, Tvar, weights[i] / acc, LA, LB)
