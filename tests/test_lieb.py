@@ -128,16 +128,17 @@ class TestMultivariate:
         ).real
         assert _rel(_report(con, wit), want) < 1e-9
 
-    @pytest.mark.parametrize(("weights", "dims", "count"), [
-        ((0, 0, 1), (2, 2, 2), 1), ((0, 0, Fraction(1, 2), Fraction(1, 2)), (2, 2, 1, 2), 2)])
-    def test_leading_zero_weights(self, weights, dims, count, rng):
+    @pytest.mark.parametrize(("weights", "dims"), [
+        ((0, 0, 1), (2, 2, 2)), ((0, 0, Fraction(1, 2), Fraction(1, 2)), (2, 2, 1, 2))])
+    def test_leading_zero_weights(self, weights, dims, rng):
         # the chain makes no variable before its first weight: one variable
-        # and one LMI for each weighted step; a 1 x 1 third matrix keeps the
-        # four-factor model small enough to solve fast
+        # and one LMI for each matrix from the first weighted one on; a 1 x 1
+        # third matrix keeps the four-factor model small enough to solve fast
         mats = [random_pd(d, rng) for d in dims]
         weights = [Fraction(w) for w in weights]
         con = build_multivariate(mats, weights)
-        assert len(con.model.vars) == len(con.model.lmis) == count
+        first = next(i for i, w in enumerate(weights) if w)
+        assert len(con.model.vars) == len(con.model.lmis) == len(weights) - first
         assert check_feasible(con.model, con.make_witness(), tol=1e-9).ok
         res = solve(con.model)
         assert res.ok, res.status
