@@ -10,13 +10,15 @@ into small systems of 2n x 2n and n x n LMIs.  The recursion:
 - t = 2^l/q in [1/2, 1]: reduce to the dyadic exponent (2^{l+1}-q)/2^l
   on the pair (A, W), plus [[Z, W], [W, B]] and W >= T;
 - general t in (0, 1/2): split t = (p/2^l) * (2^l/q) with
-  l = floor(log2 q) and chain the two constructions;
+  l = floor(log2 q) and chain the two constructions through U <= W;
 - general t in (1/2, 1): swap the pair and use 1 - t;
 - epigraphs: t in [-1, 0) uses the hypograph at -t plus one extra
   Schur-complement LMI; t in (1, 2] swaps the pair onto 1 - t.  The
   endpoints t = 0 and 1 are compiled as hypographs.
 
-Every auxiliary variable carries a witness recipe, a function of the
+Only the target is named T; each auxiliary variable is named for its role
+(W a power-of-two bound, Z a dyadic point, U the split's point, S an
+epigraph's point) and carries a witness recipe, a function of the
 assignment that returns its value along the geodesic between the
 construction's slot values (`on_geodesic`), so proof-derived witnesses
 come out of the same recursion that emits the LMIs.
@@ -125,9 +127,9 @@ def _emit_hyp(b: ModelBuilder, A: AffineBlock, B: AffineBlock, T: AffineBlock, t
         ell = floor_log2(q)
         s_in = Fraction(2**ell, q)
         W = _pow2_bound(b, A, B, s_in)
-        Z = _fresh_target(b, "T", A.dim, s_in, A, B)
-        b.add_lmi([[W - Z]], label=f"pow2 cap {s_in}")
-        _emit_hyp(b, A, Z, T, Fraction(p, 2**ell))
+        U = _fresh_target(b, "U", A.dim, s_in, A, B)
+        b.add_lmi([[W - U]], label=f"pow2 cap {s_in}")
+        _emit_hyp(b, A, U, T, Fraction(p, 2**ell))
     else:
         _emit_hyp(b, B, A, T, 1 - t)
 
@@ -156,7 +158,7 @@ def _pow2_bound(b: ModelBuilder, A: AffineBlock, B: AffineBlock, t: Fraction) ->
     ell = floor_log2(p)
     s = Fraction(2 ** (ell + 1) - q, 2**ell)
     W = _fresh_target(b, "W", n, t, A, B)
-    Z = _fresh_target(b, "Z" if ell > 1 else "T", n, s, A, W)
+    Z = _fresh_target(b, "Z", n, s, A, W)
     _emit_dyadic(b, A, W, Z, s)
     b.add_lmi2(Z, W, B, label=f"pow2 glue {t}")
     return W
@@ -220,11 +222,8 @@ def build_geomean(task: GeoMeanTask) -> Construction:
 @dataclass
 class CensusReport:
     t: Fraction
-    n: int
     mode: str
     census: list  # (size, count)
-    bound_big: int  # allowed number of 2n x 2n LMIs
-    bound_small: int  # allowed number of n x n LMIs
     ok: bool
 
 
@@ -243,4 +242,4 @@ def lmi_census_audit(t: RationalExponent, n: int = 2) -> CensusReport:
     small = sum(c for s, c in census if s == n)
     other = sum(c for s, c in census if s not in (n, 2 * n))
     ok = big <= bound_big and small <= 1 and other == 0
-    return CensusReport(t, n, mode, census, bound_big, 1, ok)
+    return CensusReport(t, mode, census, ok)

@@ -40,6 +40,12 @@ class TestCensus:
         epi = sum(c for _, c in census_of("-1/2", n=2))
         assert epi == hyp + 1
 
+    @pytest.mark.parametrize("t, names", [("1/3", "T W Z1 U"), ("2/3", "T W Z1"),
+                                          ("-1/5", "T S W Z1 Z2 U Z3")])
+    def test_only_the_target_is_named_T(self, t, names):
+        model = build_geomean(GeoMeanTask(RationalExponent.parse(t), 2, A=np.eye(2), B=np.eye(2))).model
+        assert " ".join(v.name for v in model.vars) == names
+
     def test_audit_sweep(self):
         for q in range(1, 33):
             for p in range(1, q):
