@@ -1,5 +1,6 @@
 """Oracle-level checks: powers, means, lifts, entropies, fidelity."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from tracelift.kernel import (
     kron,
     lieb_value,
     quantum_rel_entropy,
+    real_trace,
     tsallis_entropy,
     tsallis_rel_entropy,
     upsilon_value,
@@ -74,6 +76,17 @@ class TestBits:
         assert binary_expansion(5, 3) == [1, 0, 1]
         assert binary_expansion(3, 3) == [1, 1, 0]
         assert sum(m * 2**i for i, m in enumerate(binary_expansion(5, 3))) == 5
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: floor_log2(0), "positive integer expected, got 0"),
+        (lambda: binary_expansion(2, 3), "need odd p with p < 2^ell, got p=2, ell=3"),
+        (lambda: real_trace(1.0 + 1e-3j), "trace has non-negligible imaginary part"),
+    ], ids=["floor-log2-zero", "even-numerator", "imaginary-trace"])
+    def test_raises(self, call, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call()
 
 
 class TestHermPower:

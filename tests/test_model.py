@@ -51,6 +51,10 @@ class TestBuilder:
         assert b.fresh_var("W", 2).name == "W2"
         assert b.fresh_var("T", 2).name == "T"
 
+    def test_constant_difference(self, pd_pair):
+        A, B = pd_pair
+        assert np.array_equal((AffineBlock.constant(A) - AffineBlock.constant(B)).evaluate({}), A - B)
+
     def test_census(self, pd_pair):
         A, B = pd_pair
         model, _ = two_block_model(A, B)
