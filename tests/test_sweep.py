@@ -16,7 +16,7 @@ def test_functions_panel():
     solves = lines[1:-1]
     assert len(solves) == 16
     for line in solves:
-        assert re.fullmatch(r"\w+ t=1/2 n=2 (real|complex) seed=0 trial=0: optimal optimal:\d+ y=[0-9a-f]{16}",
+        assert re.fullmatch(r"\w+ t=1/2 n=2 (real|complex) seed=0 trial=0: optimal (\w+:\d+ )+y=[0-9a-f]{16}",
                             line), line
     assert re.fullmatch(r"solves 16 non-optimal 0 iterations \d+", lines[-1])
     assert "wall" not in out.stdout and "wall" in out.stderr
