@@ -58,10 +58,11 @@ def load_matrix(path, hermitian: bool = True) -> np.ndarray:
         imag = np.asarray(doc.get("im", np.zeros_like(real)), dtype=float)
     except (TypeError, ValueError) as exc:
         raise IoError(f"matrix file {path}: {exc}")
-    if real.ndim != 2 or imag.shape != real.shape or (hermitian and real.shape[0] != real.shape[1]):
+    if (real.ndim != 2 or 0 in real.shape or imag.shape != real.shape
+            or (hermitian and real.shape[0] != real.shape[1])):
         shape = "square " if hermitian else ""
         raise IoError(f"matrix file {path}: re {real.shape} and im {imag.shape} "
-                      f"must be {shape}matrices of one shape")
+                      f"must be nonempty {shape}matrices of one shape")
     if not (np.isfinite(real).all() and np.isfinite(imag).all()):
         raise IoError(f"matrix file {path}: entries must be finite")
     M = real + 1j * imag

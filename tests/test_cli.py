@@ -223,6 +223,20 @@ class TestMalformedMatrixFile:
         assert str(bad) in err and "finite" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["emit", "--function", "upsilon", "--t", "1/2", "--K", "{bad}", "--out", "{out}"],
+        ["eval", "--function", "upsilon", "--t", "1/2", "--K", "{bad}"],
+        ["verify", "--function", "upsilon", "--t", "1/2", "--K", "{bad}", "--trials", "1"],
+    ], ids=["emit", "eval", "verify"])
+    def test_no_columns_exit_3(self, tmp_path, capsys, argv):
+        bad, out = tmp_path / "bad.json", tmp_path / "m.dat-s"
+        bad.write_text(json.dumps({"re": [[], []]}))
+        rc = main([a.format(bad=bad, out=out) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(bad) in err and "nonempty" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_rectangular_k_accepted(self, tmp_path, diag_files):
         # K need not be square or Hermitian
         K = tmp_path / "K.json"
