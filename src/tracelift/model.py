@@ -270,7 +270,11 @@ class Slices(NamedTuple):
         sorted by key, the entries of one key summed in the order given,
         starting from zero (a complex entry's real and imaginary parts
         apart), and the zero sums dropped."""
-        keys, at = np.unique(keys, return_inverse=True)
+        order = np.argsort(keys, kind="stable")  # keeps the order given within a key
+        keys, vals = keys[order], vals[order]
+        new = np.ones(len(keys), dtype=bool)  # the first entry of each key
+        new[1:] = keys[1:] != keys[:-1]
+        at, keys = np.cumsum(new) - 1, keys[new]
         v = np.empty(len(keys), dtype=vals.dtype)
         v.real = np.bincount(at, vals.real, len(keys))  # adds in the order given
         if np.iscomplexobj(v):
@@ -417,11 +421,8 @@ class SdpModel:
 
     def coord_offsets(self):
         """First real coordinate of each variable, and the coordinate count."""
-        offsets, m = {}, 0
-        for v in self.vars:
-            offsets[v] = m
-            m += len(var_basis(v))
-        return offsets, m
+        n = [len(var_basis(v)) for v in self.vars]
+        return dict(zip(self.vars, accumulate(n, initial=0))), sum(n)
 
     def lmi_census(self):
         """Sorted list of (size, count) pairs over all LMIs."""
@@ -671,14 +672,19 @@ def canonical(model: SdpModel):
     if not model.lmis and not model.scalars:
         raise TraceliftError("the model has no constraint")
     offsets, m = model.coord_offsets()
+    # each variable's coordinate count and first coordinate, by VarId.index
+    at = np.array([v.index for v in model.vars], dtype=int)
+    count, start = np.zeros((2, at.max(initial=-1) + 1), dtype=int)
+    start[at] = first = list(offsets.values())
+    count[at] = np.diff(first + [m])
     sign = -1.0 if obj.sense == "minimize" else 1.0
     blocks = []
     for held in _held(model):
         G0, vars, s, p, v = held.slices()
-        # offsets[u] + k for each coordinate k of each u in turn, with no numpy call per variable
-        n = np.array([len(var_basis(u)) for u in vars], dtype=int)
-        first = np.array([offsets[u] for u in vars], dtype=int) - (np.cumsum(n) - n)
-        idx = np.repeat(first, n) + np.arange(n.sum())
+        # the first coordinate of u, plus k, for each coordinate k of each u in turn
+        at = np.array([u.index for u in vars], dtype=int)
+        n = count[at]
+        idx = np.repeat(start[at] - (np.cumsum(n) - n), n) + np.arange(n.sum())
         blocks.append((G0, idx, s, p, v))
     G0, idx, s, _, v = blocks.pop()  # the objective
     b = np.zeros(m)

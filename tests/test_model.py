@@ -293,6 +293,29 @@ class TestHeldSlices:
         assert sl.v.dtype == complex
         assert (sl.s.tolist(), sl.p.tolist(), sl.v.tolist()) == ([0, 1], [1, 0], [5 + 0j, 2j])
 
+    @pytest.mark.parametrize("case", ["repeated", "zero sums", "complex", "empty"])
+    def test_gather_equals_unique_reference(self, rng, case):
+        # the run split gives the bits of np.unique's inverse and bincount
+        keys = rng.integers(0, 30, 200)
+        vals = rng.standard_normal(200) * 10.0 ** rng.integers(-8, 9, 200)
+        if case == "zero sums":  # keys 40-43 sum to zero: x - x, and the signed zeros
+            keys = np.concatenate([keys, [40, 41, 42, 40, 41, 42, 43, 43]])
+            vals = np.concatenate([vals, [1e-3, 7.0, 1e300, -1e-3, -7.0, -1e300, 0.0, -0.0]])
+        elif case == "complex":
+            vals = vals + 1j * rng.standard_normal(200) * (rng.random(200) < 0.5)
+        elif case == "empty":
+            keys, vals = keys[:0], vals[:0]
+        ukeys, at = np.unique(keys, return_inverse=True)
+        want = np.empty(len(ukeys), dtype=vals.dtype)
+        want.real = np.bincount(at, vals.real, len(ukeys))
+        if np.iscomplexobj(vals):
+            want.imag = np.bincount(at, vals.imag, len(ukeys))
+        nz = want != 0
+        sl = Slices.gather(np.zeros((4, 4)), [], keys, vals)
+        assert (sl.s * 16 + sl.p).tolist() == ukeys[nz].tolist()
+        assert sl.v.dtype == vals.dtype and sl.v.tobytes() == want[nz].tobytes()
+        assert case != "zero sums" or (sl.s * 16 + sl.p).max() < 40
+
     def test_functional_made_from_slices(self, rng):
         # a functional made from slices evaluates from them: it has no terms
         x = VarId(0, 2, "X", "real")
