@@ -17,6 +17,7 @@ written on a leading comment line, which SDPA readers skip.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -101,28 +102,43 @@ def _read_entries(rows, m, sizes):
     """The checked (matno, block, i, j, val) columns of the entry lines,
     block, i and j counted from 0.
 
-    One pass splits and converts the lines, and stops at the first line
-    that does not split into 5 fields or does not convert.  The checks by
-    value then run on whole columns of the lines before it, yet the first
-    line that fails any check raises, with the first check it fails in the
-    order below, as checking line by line would; a second entry at one
-    position is a fault.
+    One ``np.loadtxt`` call converts all the lines into columns.  Where it
+    refuses or warns, or a line is not ASCII, the per-line loop below reads
+    them instead, and stops at the first line that does not split into 5
+    fields or does not convert by ``int`` and ``float``: so the grammar is
+    theirs, with ``1_0``, non-ASCII digits and integers beyond int64,
+    which loadtxt refuses.  The checks by value then run on whole columns
+    of the lines before it, yet the first line that fails any check
+    raises, with the first check it fails in the order below, as checking
+    line by line would; a second entry at one position is a fault.
     """
-    ents, fault = [], None  # the fields of the good leading lines, five a line; the fault after them
-    for _, text in rows:
+    cols, fault = None, None  # fault: the first line's fault after the lines in cols
+    texts = [text for _, text in rows]
+    # loadtxt warns on no lines, and reads some non-ASCII letters in an integer as digits
+    if texts and "".join(texts).isascii():
         try:
-            matno, blk, i, j, val = text.split()
-        except ValueError:
-            fault = "entry line needs 5 fields, got {text!r}"
-            break
-        try:
-            ents.extend((int(matno), int(blk), int(i), int(j), float(val)))
-        except ValueError:
-            fault = "bad entry line {text!r}"
-            break
-    n = len(ents) // 5
-    matno, blk, i, j, val = ([np.array(ents[k::5]) for k in range(5)] if ents
-                             else [np.zeros(0, dtype=int)] * 4 + [np.zeros(0)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cols = np.loadtxt(texts, dtype="i8,i8,i8,i8,f8", comments=None, ndmin=1, unpack=True)
+        except (ValueError, OverflowError, Warning):
+            pass
+    if cols is None:
+        ents = []  # the fields of the good leading lines, five a line
+        for _, text in rows:
+            try:
+                matno, blk, i, j, val = text.split()
+            except ValueError:
+                fault = "entry line needs 5 fields, got {text!r}"
+                break
+            try:
+                ents.extend((int(matno), int(blk), int(i), int(j), float(val)))
+            except ValueError:
+                fault = "bad entry line {text!r}"
+                break
+        cols = ([np.array(ents[k::5]) for k in range(5)] if ents
+                else [np.zeros(0, dtype=int)] * 4 + [np.zeros(0)])
+    matno, blk, i, j, val = cols
+    n = len(val)
     nb = len(sizes)
     b = np.where((1 <= blk) & (blk <= nb), blk - 1, nb).astype(int)  # a bad block reads size 0
     size = np.array(sizes + [0])[b]
@@ -161,9 +177,11 @@ def import_sdpa(path) -> SdpModel:
     variable, one LMI per PSD block, made from its slices: G0 = -F0 and the
     nonzeros of the matrices that occur in the block, taken from the
     entry columns with no dense stack formed; and one scalar constraint
-    per row of each diagonal block.  An objective constant line, as
-    `export_sdpa` writes it, is read back.  Re-exporting reproduces the
-    file.
+    per row of each diagonal block.  The scalar constraints and the
+    objective are made from 1x1 slices too, one per nonzero coefficient,
+    so no functional of the model holds terms.  An objective constant
+    line, as `export_sdpa` writes it, is read back.  Re-exporting
+    reproduces the file.
     """
     try:
         with open(path) as fh:
@@ -171,7 +189,8 @@ def import_sdpa(path) -> SdpModel:
     except OSError as exc:
         raise IoError(str(exc))
 
-    texts = [line.split("*")[0].split('"')[0].strip() for line in raw]
+    texts = [line.split("*")[0].split('"')[0].strip() if "*" in line or '"' in line else line.strip()
+             for line in raw]
     rows = [(lno, text) for lno, text in enumerate(texts, start=1) if text]
     if len(rows) < 4:
         raise SdpaParseError("file ends before the objective row", line_no=len(raw))
@@ -224,6 +243,12 @@ def import_sdpa(path) -> SdpModel:
     nz = cols[-1] != 0.0  # a zero entry adds nothing, so only a matrix with nonzeros gets a slice
     matno, blk, i, j, val = (col[nz] for col in cols)
     xs = [VarId(k, 1, f"x{k + 1}", "real") for k in range(m)]
+
+    def functional(constant, ks, vals, label=""):
+        """constant + sum_n vals[n] x_ks[n], for increasing ks counted from 0."""
+        return LinearFunctional(constant, label=label, slices=Slices.gather(
+            np.array([[constant]]), [xs[k] for k in ks.tolist()], np.arange(len(ks)), vals))
+
     lmis, scalars = [], []
     order = np.argsort(blk, kind="stable")
     starts = np.searchsorted(blk[order], np.arange(nblocks + 1))
@@ -232,14 +257,17 @@ def import_sdpa(path) -> SdpModel:
         mats = np.union1d(0, matno[e])  # F0, then the matrices occurring in the block
         s, ie, je, ve = np.searchsorted(mats, matno[e]), i[e], j[e], val[e]
         label = f"block {bi + 1}"
-        if size < 0:  # a diagonal block: one scalar constraint per row
-            D = np.zeros((len(mats), -size))
-            D[s, ie] = ve
-            for r in range(-size):
-                terms = [(xs[k - 1], [[a]]) for k, a in zip(mats[1:], D[1:, r]) if a != 0.0]
-                scalars.append(LinearFunctional(-D[0, r], terms, label=f"{label} row {r + 1}"))
-            continue
         f0 = s == 0
+        if size < 0:  # a diagonal block: one scalar constraint per row
+            F0 = np.zeros(-size)
+            F0[ie[f0]] = ve[f0]
+            ks, rs, vs = matno[e][~f0] - 1, ie[~f0], ve[~f0]
+            o = np.lexsort((ks, rs))  # by row, then by variable
+            ends = np.searchsorted(rs[o], np.arange(1 - size))
+            for r in range(-size):
+                at = o[ends[r]:ends[r + 1]]
+                scalars.append(functional(-F0[r], ks[at], vs[at], f"{label} row {r + 1}"))
+            continue
         G0 = np.zeros((size, size))
         G0[ie[f0], je[f0]] = G0[je[f0], ie[f0]] = -ve[f0]
         # the coefficient nonzeros: each entry at (i, j), and off the diagonal at (j, i) too
@@ -247,7 +275,7 @@ def import_sdpa(path) -> SdpModel:
         keys = np.concatenate([((s - 1) * size + ie) * size + je,
                                ((s - 1) * size + je) * size + ie])
         lmis.append(LmiConstraint(label=label, slices=Slices.gather(
-            G0, [xs[k - 1] for k in mats[1:]], keys[keep], np.concatenate([ve, ve])[keep])))
-    terms = [(xs[k], [[-ck]]) for k, ck in enumerate(c) if ck != 0.0]
-    objective = Objective("maximize", LinearFunctional(constant, terms))
+            G0, [xs[k - 1] for k in mats[1:].tolist()], keys[keep], np.concatenate([ve, ve])[keep])))
+    ks = np.flatnonzero(c)
+    objective = Objective("maximize", functional(constant, ks, -np.array(c)[ks]))
     return SdpModel(xs, lmis, scalars, objective, realified=True)

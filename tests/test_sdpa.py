@@ -1,5 +1,7 @@
 """SDPA sparse-format export and import."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,16 @@ class TestParseErrors:
         self.check(tmp_path, "1\n1\n2\n1.0\n1 2 1 1 1.0\n1 1 1 1 nan\n", 5,
                    "block index 2 out of range")
 
+    @pytest.mark.parametrize("index", ["99999999999999999999", "-9223372036854775809"])
+    def test_matrix_index_beyond_int64(self, tmp_path, index):
+        self.check(tmp_path, f"1\n1\n2\n1.0\n0 1 1 1 -1.0\n{index} 1 1 1 1.0\n", 6,
+                   f"matrix index {index} out of range")
+
+    def test_non_ascii_letter_in_an_integer(self, tmp_path):
+        # not a digit to int(), whatever np.loadtxt makes of it
+        self.check(tmp_path, "1\n1\n2\n1.0\n0 1 1 1 -1.0\n\u01fe1 1 1 1 1.0\n", 6,
+                   "bad entry line '\u01fe1 1 1 1 1.0'")
+
     @pytest.mark.parametrize("bad", ["x", "nan", ""])
     def test_bad_objective_constant(self, tmp_path, bad):
         self.check(tmp_path, f"* objective constant {bad}\n1\n1\n2\n1.0\n", 1)
@@ -246,6 +258,7 @@ class TestImported:
         model, _ = imported_lieb(rng, tmp_path)
         assert model_is_real(model)
 
+    @pytest.mark.filterwarnings("error")
     def test_no_entries(self, tmp_path):
         path = tmp_path / "m.dat-s"
         path.write_text("1\n2\n2 -1\n1.0\n")
@@ -253,6 +266,27 @@ class TestImported:
         G0, idx, A = dense(model.lmis[0].slices(), model.coord_offsets()[0])
         assert not G0.any() and idx.size == 0 and A.shape == (0, 2, 2)
         assert model.scalars[0].constant == 0.0
+
+    @pytest.mark.parametrize("form", ["underscores", "non-ASCII digits"])
+    def test_forms_int_and_float_accept(self, rng, tmp_path, form):
+        # entry lines in forms that int() and float() read and np.loadtxt
+        # refuses, on every other line: the model of the plain-form twin
+        _, source = imported_lieb(rng, tmp_path)
+        plain = tmp_path / "m.dat-s"
+        lines = plain.read_text().splitlines()
+        if form == "underscores":
+            def spell(tok):
+                return re.sub(r"(\d)(?=\d)", r"\1_", tok, count=1)
+        else:
+            def spell(tok):
+                return tok.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                                                 "\u0665\u0666\u0667\u0668\u0669"))
+        lines[4::2] = [" ".join(map(spell, line.split())) for line in lines[4::2]]
+        twin, back = tmp_path / "twin.dat-s", tmp_path / "back.dat-s"
+        twin.write_text("\n".join(lines) + "\n")
+        assert twin.read_text() != plain.read_text()
+        export_sdpa(import_sdpa(twin), back)
+        assert back.read_bytes() == plain.read_bytes()
 
     def test_objective_constant_round_trip(self, rng, tmp_path):
         A = random_pd(3, rng)
@@ -415,6 +449,18 @@ def source_slices(source, k):
     return G0, idx[keep].tolist(), A[keep]
 
 
+def source_coeffs(source, f):
+    """Reference for the coefficients of a functional of an imported model:
+    those of functional f of the maximising model it was exported from,
+    made dense by coordinate."""
+    assert source.objective.sense == "maximize"
+    offsets, m = source.coord_offsets()
+    _, idx, A = dense(f.slices(), offsets)
+    out = np.zeros(m)
+    out[idx] = A[:, 0, 0]
+    return out
+
+
 # the makers whose built model is compared after realify
 REALIFIED = (complex_geomean, real_geomean, lieb_scalar, kron_power, repeated_terms,
              upsilon_conj_left)
@@ -429,7 +475,7 @@ class TestSlices:
         # the held slices, made dense here, against a reference formed one
         # coordinate at a time: from the LMI's own grid, from the grid of
         # the LMI it was realified from, or for an imported model from the
-        # LMI it was exported from
+        # LMI or functional it was exported from
         model = make(rng, tmp_path)
         source, var_map = None, None
         if make is imported_lieb:
@@ -455,12 +501,14 @@ class TestSlices:
             G0, idx, A = dense(f.slices(), offsets)
             got = np.zeros(m)
             got[idx] = A[:, 0, 0]
-            if var_map is None:
+            src = f if source is None else [*source.scalars, source.objective.functional][k]
+            if make is imported_lieb:
+                want = source_coeffs(source, src)
+            elif var_map is None:
                 want = oracle_coeffs(f, offsets)
             else:
-                src = [*source.scalars, source.objective.functional][k]
                 want = oracle_coeffs(src, source.coord_offsets()[0], (var_map, offsets, embed))
-                assert src.constant == f.constant
+            assert src.constant == f.constant
             assert np.array_equal(G0, [[f.constant]])
             assert np.array_equal(got, want)
         if make in (lieb_scalar, imported_lieb):
