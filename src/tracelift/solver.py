@@ -207,6 +207,7 @@ class _Blocks:
                 (n, G0, np.asarray(idx)[has], pos, val, upos, uval))
         self.stacks = [_Stack(group) for group in shapes.values()]
         self.coords = np.concatenate([s.idx.ravel() for s in self.stacks])
+        self.runs = [[_runs(idx) for idx in s.idx] for s in self.stacks]
 
     def total(self, vals):
         """The sum over blocks of per-stack values (nb,)."""
@@ -230,21 +231,29 @@ class _Blocks:
         symmetrised and its diagonal shifted by 1e-14, and the right-hand
         sides -rp + sum_b tr(A_bk R_b) and sum_b tr(A_bk C_b).
 
-        Each block's term is symmetrised on its own na x na rows and added
-        through flat positions, which is cheaper than symmetrising M."""
+        Each block's term is symmetrised on its own na x na rows, which is
+        cheaper than symmetrising M, and added one pair of coordinate runs
+        at a time."""
         m = len(rp)
-        M = np.zeros(m * m)
-        for s, Ws in zip(self.stacks, W):
-            for k, idx in enumerate(s.idx):
-                T = _sym(s.schur(Ws[k], k))  # first, so that schur's peak is not on top of M[...]'s copy
-                M[(idx[:, None] * m + idx).ravel()] += T.ravel()
-        M = M.reshape(m, m)
+        M = np.zeros((m, m))
+        for s, Ws, runs in zip(self.stacks, W, self.runs):
+            for k, run in enumerate(runs):
+                T = _sym(s.schur(Ws[k], k))
+                for a0, a1, i in run:
+                    for b0, b1, j in run:
+                        M[i:i + a1 - a0, j:j + b1 - b0] += T[a0:a1, b0:b1]
         M.flat[:: m + 1] += 1e-14
         rhs = np.zeros((m, 2))
         rhs[:, 0] = -rp
         for j, T in enumerate((R, C)):
             self.add_traces(rhs[:, j], T)
         return M, rhs
+
+
+def _runs(idx):
+    """(a0, a1, idx[a0]) for each run a0:a1 of idx that counts up by one."""
+    cut = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), len(idx)]
+    return [(a0, a1, int(idx[a0])) for a0, a1 in zip(cut, cut[1:]) if a1 > a0]
 
 
 def _sym(M):
