@@ -19,9 +19,11 @@ holds every run's metrics and their medians; each case's solver status and
 iterations (verify workloads) or SDPA bytes (emit), as seen in every round
 of every run; the Python and numpy versions and the CPU count; the seed;
 and the commit. The change's file also holds, under ``pairs``, for each
-end-to-end metric of BENCHMARK.json: each pair's change/parent ratio, the
-ratios' median and quartiles, the pairs the change won (by the metric's
-``better``) and the parent's quartile spread (Q3 - Q1 of its runs). Both
+metric of BENCHMARK.json that the runs report (the end-to-end ones, or the
+per-layer ones with ``--trace 1``) and that is nonzero on every parent
+run: each pair's change/parent ratio, the ratios' median and quartiles,
+the pairs the change won (by the metric's ``better``) and the parent's
+quartile spread (Q3 - Q1 of its runs). Both
 sides drift with the machine's load, so the ratios within pairs resolve
 more than the two sides' medians; they are printed on standard error too.
 """
@@ -83,13 +85,18 @@ def case_outcomes(runs) -> list:
 
 
 def pair_stats(runs) -> dict:
-    """Per end-to-end metric of BENCHMARK.json: the ratios change/parent of
-    each pair, their median and quartiles, the pairs the change won and the
-    parent's quartile spread."""
+    """Per metric of BENCHMARK.json that the runs report (the end-to-end
+    ones, or with --trace 1 the per-layer ones) and that reads nonzero on
+    every parent run: the ratios change/parent of each pair, their median
+    and quartiles, the pairs the change won and the parent's quartile
+    spread."""
     out = {}
-    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for metric in bench["end_to_end"] + bench["per_layer"]:
         name = metric["name"]
-        parent = [r["metrics"][name] for r in runs["parent"]]
+        parent = [r["metrics"].get(name, 0) for r in runs["parent"]]
+        if 0 in parent:
+            continue
         change = [r["metrics"][name] for r in runs["change"]]
         ratios = [c / p for c, p in zip(change, parent)]
         q1, median, q3 = np.percentile(ratios, [25, 50, 75])
