@@ -268,12 +268,13 @@ class TestImported:
         assert model.scalars[0].constant == 0.0
 
     @pytest.mark.parametrize("form", ["underscores", "non-ASCII digits"])
-    def test_forms_int_and_float_accept(self, rng, tmp_path, form):
+    def test_refused_forms_read_as_plain_twin(self, rng, tmp_path, form):
         # entry lines in forms that int() and float() read and np.loadtxt
         # refuses, on every other line: the model of the plain-form twin
-        _, source = imported_lieb(rng, tmp_path)
+        imported_lieb(rng, tmp_path)  # writes m.dat-s
         plain = tmp_path / "m.dat-s"
         lines = plain.read_text().splitlines()
+        assert not lines[0].startswith("*")  # so the entry lines start at line 5
         if form == "underscores":
             def spell(tok):
                 return re.sub(r"(\d)(?=\d)", r"\1_", tok, count=1)
